@@ -5,11 +5,14 @@
 //!            fig13|fig14|fig15|fig16|ablate-subpage|ablate-thrash|
 //!            ablate-elevator|ablate-mvcc|fault-flap|fault-crash|
 //!            protocol|baseline|all> [--quick] [--seeds N] [--jobs N] [--exact]
-//!            [--intra-jobs N] [--client-model exact|aggregate]
-//!   figures run <file.dcs>    [--seeds N] [--jobs N] [--intra-jobs N]
+//!            [--client-model exact|aggregate]
+//!   figures run <file.dcs>    [--seeds N] [--jobs N]
 //!                             [--metrics] [output=csv:PATH] [output=json:PATH]
-//!   figures serve <file.dcs>  [--seeds N] [--intra-jobs N] [--listen ADDR]
+//!   figures serve <file.dcs>  [--seeds N] [--listen ADDR]
 //!   figures list
+//!
+//! An unknown `--flag`, or a `--seeds`/`--jobs` value that is not a
+//! number, exits 2 with the list of valid flags.
 //!
 //! `run` executes a declarative scenario file (grammar in
 //! EXPERIMENTS.md, examples under `examples/scenarios/`) through the
@@ -31,23 +34,13 @@
 //! engine; the committed `figures_output.txt` golden capture is
 //! produced with `figures all --seeds 2 --exact`.
 //!
-//! `--intra-jobs N` splits every *single* run into N node groups on
-//! the conservative time-windowed engine (DESIGN.md §13). `N <= 1` is
-//! the untouched serial loop — `figures all --seeds 2 --exact
-//! --intra-jobs 1` stays bit-identical to the golden capture. For grid
-//! points whose cluster is smaller than N the group count is clamped
-//! to the node count (a one-node point just runs serially), so a node
-//! sweep and `--intra-jobs` compose. Windowed runs are deterministic
-//! per group count but only statistically equivalent to serial —
-//! don't mix `--intra-jobs >= 2` with golden-capture comparisons.
-//!
 //! `--client-model aggregate` swaps every run's driver onto the
 //! aggregate session engine (DESIGN.md §14): one arrival process and a
 //! pooled connection multiplexer per node instead of per-terminal
 //! timers and sockets. Statistically equivalent to `exact` (pinned by
 //! `tests/aggregate_equivalence.rs`) and the only way to drive
-//! million-terminal populations; like `--intra-jobs`, keep it away
-//! from golden-capture comparisons.
+//! million-terminal populations; keep it away from golden-capture
+//! comparisons.
 //!
 //! Absolute numbers come from the 100x-scaled model (multiply tpm-C by
 //! 100 for real-system equivalents); the paper's claims are about
@@ -65,13 +58,11 @@ struct Opts {
     seeds: u64,
     jobs: usize,
     exact: bool,
-    intra_jobs: u32,
     client_model: ClientModel,
 }
 
 fn base_cfg(opts: &Opts) -> ClusterConfig {
     let mut cfg = dclue_bench::grids::figures_base(opts.quick, opts.exact);
-    cfg.intra_jobs = opts.intra_jobs;
     cfg.client_model = opts.client_model;
     cfg
 }
@@ -86,20 +77,10 @@ fn validate_or_die(cfg: &ClusterConfig) {
 }
 
 /// Run a batch of configs through the worker pool: one seed-averaged
-/// report per config, in submission order. `--intra-jobs` is clamped
-/// per point to the point's node count so node sweeps compose with
-/// windowed execution instead of dying on the smallest cluster.
+/// report per config, in submission order.
 fn run_batch(cfgs: &[ClusterConfig], opts: &Opts) -> Vec<Report> {
-    let cfgs: Vec<ClusterConfig> = cfgs
-        .iter()
-        .map(|c| {
-            let mut c = c.clone();
-            c.intra_jobs = c.intra_jobs.min(c.nodes);
-            c
-        })
-        .collect();
     cfgs.iter().for_each(validate_or_die);
-    sweep::run_avg_many(opts.jobs, &cfgs, opts.seeds)
+    sweep::run_avg_many(opts.jobs, cfgs, opts.seeds)
 }
 
 /// Run one config across seeds and average the reported series.
@@ -926,9 +907,8 @@ fn fault(opts: &Opts, scenario: &str) {
         _ => unreachable!(),
     };
     println!("--- fault-{scenario} (n=4 α=0.8, fault at t={mid}s) ---");
-    cfg.intra_jobs = cfg.intra_jobs.min(cfg.nodes);
     validate_or_die(&cfg);
-    let r = dclue_cluster::run_one(cfg);
+    let r = dclue_cluster::World::new(cfg).run();
     println!(
         "committed={} aborted_by_fault={} fault_events={} fault_drops={} iscsi_retries={}",
         r.committed, r.aborted_by_fault, r.fault_events_applied, r.fault_drops, r.iscsi_retries
@@ -1039,18 +1019,6 @@ fn file_operand(args: &[String], cmd: &str) -> String {
     }
 }
 
-/// Apply a CLI `--intra-jobs` override to every point of a plan,
-/// clamped per point to the node count (same composition rule as the
-/// hardcoded figures).
-fn apply_intra(plan: &mut dclue_scenario::Plan, intra_flag: Option<u32>) {
-    if let Some(n) = intra_flag {
-        plan.base.intra_jobs = n;
-        for p in &mut plan.points {
-            p.cfg.intra_jobs = n.min(p.cfg.nodes);
-        }
-    }
-}
-
 /// The `output=csv:<path>` / `output=json:<path>` operands of `run`.
 fn output_requests(args: &[String]) -> Vec<dclue_scenario::emit::OutputRequest> {
     args.iter()
@@ -1070,7 +1038,6 @@ fn cmd_run(
     path: &str,
     seeds_flag: Option<u64>,
     jobs_flag: Option<usize>,
-    intra_flag: Option<u32>,
     metrics: bool,
     outputs: &[dclue_scenario::emit::OutputRequest],
 ) {
@@ -1079,7 +1046,6 @@ fn cmd_run(
     if let Some(s) = seeds_flag {
         plan.seeds = s.max(1);
     }
-    apply_intra(&mut plan, intra_flag);
     // CLI --jobs wins, then the scenario's [engine] jobs, then the
     // environment; --metrics pins the serial path as everywhere else.
     let jobs = if metrics {
@@ -1130,18 +1096,12 @@ fn scenario_infos() -> Vec<dclue_scenario::service::ScenarioInfo> {
 }
 
 /// `figures serve <file.dcs>`: run the scenario with live endpoints.
-fn cmd_serve(
-    path: &str,
-    seeds_flag: Option<u64>,
-    intra_flag: Option<u32>,
-    listen_flag: Option<String>,
-) {
+fn cmd_serve(path: &str, seeds_flag: Option<u64>, listen_flag: Option<String>) {
     use dclue_scenario::service;
     let mut plan = load_plan(path);
     if let Some(s) = seeds_flag {
         plan.seeds = s.max(1);
     }
-    apply_intra(&mut plan, intra_flag);
     let listen = listen_flag
         .or_else(|| plan.scenario.listen.clone())
         .unwrap_or_else(|| "127.0.0.1:7878".to_string());
@@ -1180,18 +1140,73 @@ fn cmd_list() {
     }
 }
 
+/// Every flag `figures` accepts, with the value it takes (if any).
+const FLAGS: &[(&str, Option<&str>)] = &[
+    ("--quick", None),
+    ("--exact", None),
+    ("--metrics", None),
+    ("--seeds", Some("N")),
+    ("--jobs", Some("N")),
+    ("--client-model", Some("exact|aggregate")),
+    ("--listen", Some("ADDR")),
+];
+
+/// Report a bad command line with the list of valid flags; exit 2.
+fn usage_error(msg: &str) -> ! {
+    let valid: Vec<String> = FLAGS
+        .iter()
+        .map(|&(flag, val)| match val {
+            Some(v) => format!("{flag} {v}"),
+            None => flag.to_string(),
+        })
+        .collect();
+    eprintln!("[figures] {msg}; valid flags: {}", valid.join(", "));
+    std::process::exit(2);
+}
+
+/// Refuse any `-`-prefixed argument that is not in [`FLAGS`], and a
+/// value-taking flag given last with no value.
+fn check_flags(args: &[String]) {
+    let mut i = 0;
+    while i < args.len() {
+        let a = &args[i];
+        if a.starts_with('-') {
+            match FLAGS.iter().find(|&&(flag, _)| flag == a) {
+                None => usage_error(&format!("unknown flag '{a}'")),
+                Some((_, Some(_))) if i + 1 == args.len() => {
+                    usage_error(&format!("{a} needs a value"))
+                }
+                Some((_, Some(_))) => i += 1,
+                Some((_, None)) => {}
+            }
+        }
+        i += 1;
+    }
+}
+
+/// The numeric value of `flag`, if given; a value that does not parse
+/// is a usage error.
+fn number_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    let s = &args[i + 1]; // present: `check_flags` ran first
+    Some(
+        s.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} expects a number, got '{s}'"))),
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let flag_val = |flag: &str| {
         args.iter()
             .position(|a| a == flag)
             .and_then(|i| args.get(i + 1))
     };
-    let seeds_flag: Option<u64> = flag_val("--seeds").and_then(|s| s.parse().ok());
+    let seeds_flag: Option<u64> = number_flag(&args, "--seeds");
     let seeds = seeds_flag.unwrap_or(1);
-    let jobs_flag: Option<usize> = flag_val("--jobs").and_then(|s| s.parse().ok());
-    let intra_flag: Option<u32> = flag_val("--intra-jobs").and_then(|s| s.parse().ok());
+    let jobs_flag: Option<usize> = number_flag(&args, "--jobs");
     let exact = args.iter().any(|a| a == "--exact");
     let client_model = match flag_val("--client-model").map(String::as_str) {
         None | Some("exact") => ClientModel::Exact,
@@ -1203,9 +1218,7 @@ fn main() {
     };
     // The metrics registry is thread-local, so `--metrics` pins the
     // serial (jobs=1) path and dumps the registry when the run ends.
-    // (`--intra-jobs` composes fine: windowed group threads merge
-    // their registries into the parent at join.) Compiled in for
-    // debug builds or `--features dclue-trace/trace`.
+    // Compiled in for debug builds or `--features dclue-trace/trace`.
     let metrics = args.iter().any(|a| a == "--metrics");
     if metrics {
         if let Some(j) = jobs_flag {
@@ -1228,7 +1241,6 @@ fn main() {
         seeds,
         jobs,
         exact,
-        intra_jobs: intra_flag.unwrap_or(0),
         client_model,
     };
     let which = args.first().map(String::as_str).unwrap_or("all");
@@ -1238,14 +1250,12 @@ fn main() {
             &file_operand(&args, "run"),
             seeds_flag,
             jobs_flag,
-            intra_flag,
             metrics,
             &output_requests(&args),
         ),
         "serve" => cmd_serve(
             &file_operand(&args, "serve"),
             seeds_flag,
-            intra_flag,
             flag_val("--listen").cloned(),
         ),
         "list" => cmd_list(),

@@ -4,24 +4,18 @@
 //! each one twice, once on the default segment-train fast path and
 //! once with `exact = true` — measures wall time and events/sec,
 //! times a small sweep through the worker pool vs. the serial path,
-//! measures the windowed engine's single-run scaling curve
-//! (`intra_jobs ∈ {1, 2, 4, 8}` on an n=16 and an n=64 exact
-//! scenario), measures the client-model scaling probe (exact vs
-//! aggregate driver at 200 / 10k / 1M terminals per node on the n=16
-//! scenario — exact is skipped at 1M, where its O(terminals) driver
-//! is the point being demonstrated), measures the hierarchical-fabric
-//! probe (the n=64 edge/aggregation scenario under aggregate clients,
-//! serial and windowed across 2 rack-aligned groups, recording the
+//! measures the client-model scaling probe (exact vs aggregate driver
+//! at 200 / 10k / 1M terminals per node on the n=16 scenario — exact
+//! is skipped at 1M, where its O(terminals) driver is the point being
+//! demonstrated), measures the hierarchical-fabric probe (the n=64
+//! edge/aggregation scenario under aggregate clients, recording the
 //! per-tier trunk counters from the report), and emits
-//! `BENCH_pr10.json` (schema `dclue-selfbench/5`,
+//! `BENCH_pr12.json` (schema `dclue-selfbench/6`,
 //! documented in EXPERIMENTS.md). The pre-optimization numbers —
 //! captured on the same scenario definitions immediately before the
 //! PR 2 hot-path work and again immediately before the PR 3
 //! event-count surgery — are embedded below, so one file shows the
-//! whole trajectory. The intra-run speedups are host-dependent: the
-//! windowed engine runs one thread per group, so a single-core
-//! container records a slowdown there while a multi-core host records
-//! the real curve (`cores` is in the file; read the curve against it).
+//! whole trajectory.
 //!
 //! Usage:
 //!   selfbench [--quick] [--jobs N] [--reps R] [--out PATH] [--check]
@@ -146,13 +140,6 @@ fn scenario_cfg(name: &str, quick: bool) -> ClusterConfig {
             cfg.nodes = 16;
             cfg.affinity = 0.8;
         }
-        // ROADMAP item 1 territory: a cluster far past the paper's
-        // sweep, used only for the intra-run scaling curve (64 nodes
-        // give every probed group count 8+ nodes per group).
-        "cluster_n64_a08" => {
-            cfg.nodes = 64;
-            cfg.affinity = 0.8;
-        }
         // The hierarchical-fabric probe: 8 racks of 8 behind two
         // aggregation switches with doubled uplinks (worst path 6
         // links), aggregate clients so the driver stays O(active
@@ -224,65 +211,6 @@ fn run_scenario(name: &'static str, quick: bool, reps: u32) -> ScenarioResult {
         committed,
         exact_wall_s,
         exact_events,
-    }
-}
-
-/// The intra-run scaling curve: group counts probed per scenario.
-const INTRA_CURVE: [u32; 4] = [1, 2, 4, 8];
-/// Scenarios the curve is measured on (both on the exact engine —
-/// the windowed engine always runs segment-exact group worlds, so
-/// exact-vs-exact is the like-for-like wall-clock comparison).
-const INTRA_SCENARIOS: [&str; 2] = ["cluster_n16_a08", "cluster_n64_a08"];
-
-/// One point of the intra-run scaling curve.
-struct IntraPoint {
-    intra_jobs: u32,
-    wall_s: f64,
-    events: u64,
-    committed: u64,
-    /// Barrier rounds and cross-group messages (0 for the serial run).
-    windows: u64,
-    xg_messages: u64,
-}
-
-/// Best-of-`reps` wall clock for one scenario at one group count.
-fn time_intra(name: &str, quick: bool, reps: u32, intra: u32) -> IntraPoint {
-    let mut best_wall = f64::INFINITY;
-    let mut events = 0u64;
-    let mut committed = 0u64;
-    let mut windows = 0u64;
-    let mut xg_messages = 0u64;
-    for _ in 0..reps.max(1) {
-        let mut cfg = scenario_cfg(name, quick);
-        cfg.exact = true;
-        cfg.intra_jobs = intra;
-        if let Err(e) = cfg.validate() {
-            eprintln!("[selfbench] invalid intra config '{name}' x{intra}: {e}");
-            std::process::exit(2);
-        }
-        let t0 = Instant::now();
-        if intra >= 2 {
-            let (report, stats) = dclue_cluster::run_windowed(&cfg);
-            best_wall = best_wall.min(t0.elapsed().as_secs_f64());
-            events = stats.events_processed;
-            committed = report.committed;
-            windows = stats.windows;
-            xg_messages = stats.xg_messages;
-        } else {
-            let mut w = World::new(cfg);
-            let report = w.run();
-            best_wall = best_wall.min(t0.elapsed().as_secs_f64());
-            events = w.events_processed();
-            committed = report.committed;
-        }
-    }
-    IntraPoint {
-        intra_jobs: intra,
-        wall_s: best_wall,
-        events,
-        committed,
-        windows,
-        xg_messages,
     }
 }
 
@@ -400,77 +328,52 @@ fn client_point_json(p: &ClientScalePoint) -> String {
     )
 }
 
-/// Group counts probed by the hierarchical-fabric probe: serial, then
-/// windowed with the 8 racks split 4-per-group across 2 threads.
-const HIER_CURVE: [u32; 2] = [1, 2];
-
-/// One point of the hierarchical-fabric probe: wall clock plus the
-/// per-tier trunk counters the topology layer reports.
+/// The hierarchical-fabric probe: wall clock plus the per-tier trunk
+/// counters the topology layer reports.
 struct HierPoint {
-    intra_jobs: u32,
     wall_s: f64,
     events: u64,
-    windows: u64,
-    rack_aligned: bool,
     report: Report,
 }
 
 /// Best-of-`reps` wall clock for the n=64 edge/aggregation scenario
-/// at one group count (exact engine, aggregate clients).
-fn time_hier(quick: bool, reps: u32, intra: u32) -> HierPoint {
+/// (exact engine, aggregate clients).
+fn time_hier(quick: bool, reps: u32) -> HierPoint {
     let mut best_wall = f64::INFINITY;
     let mut events = 0u64;
-    let mut windows = 0u64;
-    let mut rack_aligned = false;
     let mut report = None;
     for _ in 0..reps.max(1) {
         let mut cfg = scenario_cfg("hier_n64_a05", quick);
         cfg.exact = true;
-        cfg.intra_jobs = intra;
         if let Err(e) = cfg.validate() {
-            eprintln!("[selfbench] invalid hierarchical config x{intra}: {e}");
+            eprintln!("[selfbench] invalid hierarchical config: {e}");
             std::process::exit(2);
         }
+        // Timed from before `World::new`, as in schema 5.
         let t0 = Instant::now();
-        if intra >= 2 {
-            let (r, stats) = dclue_cluster::run_windowed(&cfg);
-            best_wall = best_wall.min(t0.elapsed().as_secs_f64());
-            events = stats.events_processed;
-            windows = stats.windows;
-            rack_aligned = stats.rack_aligned;
-            report = Some(r);
-        } else {
-            let mut w = World::new(cfg);
-            let r = w.run();
-            best_wall = best_wall.min(t0.elapsed().as_secs_f64());
-            events = w.events_processed();
-            report = Some(r);
-        }
+        let mut w = World::new(cfg);
+        let r = w.run();
+        best_wall = best_wall.min(t0.elapsed().as_secs_f64());
+        events = w.events_processed();
+        report = Some(r);
     }
     HierPoint {
-        intra_jobs: intra,
         wall_s: best_wall,
         events,
-        windows,
-        rack_aligned,
         report: report.expect("reps >= 1"),
     }
 }
 
-fn hier_point_json(p: &HierPoint, wall_serial: f64) -> String {
+fn hier_json(p: &HierPoint) -> String {
     let r = &p.report;
     format!(
-        "    {{\"intra_jobs\": {}, \"wall_s\": {}, \"events\": {}, \"committed\": {}, \
-         \"windows\": {}, \"rack_aligned\": {}, \"speedup\": {}, \
+        "  \"hierarchical_fabric\": {{\"scenario\": \"hier_n64_a05\", \"engine\": \"exact\", \
+         \"client_model\": \"aggregate\", \"wall_s\": {}, \"events\": {}, \"committed\": {}, \
          \"trunk_mbps_edge\": {}, \"trunk_util_edge\": {}, \
          \"trunk_mbps_agg\": {}, \"trunk_util_agg\": {}, \"max_path_hops\": {}}}",
-        p.intra_jobs,
         json_f(p.wall_s),
         p.events,
         r.committed,
-        p.windows,
-        p.rack_aligned,
-        json_f(wall_serial / p.wall_s.max(1e-9)),
         json_f(r.trunk_mbps_edge),
         json_f(r.trunk_utilization_edge),
         json_f(r.trunk_mbps_agg),
@@ -549,21 +452,6 @@ fn scenario_json(r: &ScenarioResult, pre_pr3: &[(&str, f64, u64)]) -> String {
         json_f(exact_eps),
         json_f(delta_exact),
         json_f(delta_pre)
-    )
-}
-
-fn intra_point_json(p: &IntraPoint, wall_serial: f64) -> String {
-    let speedup = wall_serial / p.wall_s.max(1e-9);
-    format!(
-        "        {{\"intra_jobs\": {}, \"wall_s\": {}, \"events\": {}, \"committed\": {}, \
-         \"windows\": {}, \"xg_messages\": {}, \"speedup\": {}}}",
-        p.intra_jobs,
-        json_f(p.wall_s),
-        p.events,
-        p.committed,
-        p.windows,
-        p.xg_messages,
-        json_f(speedup)
     )
 }
 
@@ -655,7 +543,7 @@ fn main() {
     let reps: u32 = get("--reps").and_then(|s| s.parse().ok()).unwrap_or(1);
     let out = get("--out")
         .cloned()
-        .unwrap_or_else(|| "BENCH_pr10.json".into());
+        .unwrap_or_else(|| "BENCH_pr12.json".into());
 
     let mode = if quick { "quick" } else { "full" };
     eprintln!("[selfbench] mode={mode} cores={cores} jobs={jobs} reps={reps}");
@@ -734,56 +622,21 @@ fn main() {
         });
     }
 
-    // Intra-run scaling curve: one run, split across group threads.
-    // The serial point (intra_jobs = 1) is the denominator; on a
-    // single-core host the windowed points record the barrier +
-    // ghost-delivery overhead as a slowdown, which is the honest
-    // number for that machine.
-    let mut intra_curves: Vec<(&str, Vec<IntraPoint>)> = Vec::new();
-    for name in INTRA_SCENARIOS {
-        let mut points = Vec::new();
-        for &ij in &INTRA_CURVE {
-            let p = time_intra(name, quick, reps, ij);
-            eprintln!(
-                "[selfbench] intra {:<16} x{:<2} {:>8.3}s {:>9} ev  windows={:<6} xg={:<8} speedup {:.2}x",
-                name,
-                p.intra_jobs,
-                p.wall_s,
-                p.events,
-                p.windows,
-                p.xg_messages,
-                points
-                    .first()
-                    .map(|f: &IntraPoint| f.wall_s / p.wall_s.max(1e-9))
-                    .unwrap_or(1.0)
-            );
-            points.push(p);
-        }
-        intra_curves.push((name, points));
-    }
-
-    // Hierarchical-fabric probe: the n=64 edge/aggregation scenario,
-    // serial then windowed across 2 rack-aligned groups. The trunk
-    // counters are per tier — the knee the scale sweep looks for
-    // lives in whichever tier saturates first.
-    let mut hier_points = Vec::new();
-    for &ij in &HIER_CURVE {
-        let p = time_hier(quick, reps, ij);
-        eprintln!(
-            "[selfbench] hier  {:<16} x{:<2} {:>8.3}s {:>9} ev  edge {:>6.1} Mb/s ({:.0}%)  agg {:>6.1} Mb/s ({:.0}%)  hops={} aligned={}",
-            "hier_n64_a05",
-            p.intra_jobs,
-            p.wall_s,
-            p.events,
-            p.report.trunk_mbps_edge,
-            100.0 * p.report.trunk_utilization_edge,
-            p.report.trunk_mbps_agg,
-            100.0 * p.report.trunk_utilization_agg,
-            p.report.max_path_hops,
-            p.rack_aligned
-        );
-        hier_points.push(p);
-    }
+    // Hierarchical-fabric probe: the n=64 edge/aggregation scenario.
+    // The trunk counters are per tier — the knee the scale sweep looks
+    // for lives in whichever tier saturates first.
+    let hier = time_hier(quick, reps);
+    eprintln!(
+        "[selfbench] hier  {:<16} {:>8.3}s {:>9} ev  edge {:>6.1} Mb/s ({:.0}%)  agg {:>6.1} Mb/s ({:.0}%)  hops={}",
+        "hier_n64_a05",
+        hier.wall_s,
+        hier.events,
+        hier.report.trunk_mbps_edge,
+        100.0 * hier.report.trunk_utilization_edge,
+        hier.report.trunk_mbps_agg,
+        100.0 * hier.report.trunk_utilization_agg,
+        hier.report.max_path_hops
+    );
 
     let (base_pr2, base_pr3) = if quick {
         (BASELINE_QUICK, BASELINE_PR3_QUICK)
@@ -792,7 +645,7 @@ fn main() {
     };
     let mut j = String::new();
     j.push_str("{\n");
-    j.push_str("  \"schema\": \"dclue-selfbench/5\",\n");
+    j.push_str("  \"schema\": \"dclue-selfbench/6\",\n");
     j.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     j.push_str(&format!("  \"cores\": {cores},\n"));
     j.push_str(&format!("  \"jobs_resolved\": {jobs},\n"));
@@ -831,38 +684,8 @@ fn main() {
     j.push('\n');
     j.push_str("    ]\n");
     j.push_str("  },\n");
-    j.push_str("  \"hierarchical_fabric\": {\n");
-    j.push_str("    \"scenario\": \"hier_n64_a05\",\n");
-    j.push_str("    \"engine\": \"exact\",\n");
-    j.push_str("    \"client_model\": \"aggregate\",\n");
-    j.push_str("    \"points\": [\n");
-    let hier_serial = hier_points.first().map(|p| p.wall_s).unwrap_or(f64::NAN);
-    let hier_lines: Vec<String> = hier_points
-        .iter()
-        .map(|p| format!("    {}", hier_point_json(p, hier_serial)))
-        .collect();
-    j.push_str(&hier_lines.join(",\n"));
+    j.push_str(&hier_json(&hier));
     j.push('\n');
-    j.push_str("    ]\n");
-    j.push_str("  },\n");
-    j.push_str("  \"intra_scaling\": [\n");
-    let curve_lines: Vec<String> = intra_curves
-        .iter()
-        .map(|(name, points)| {
-            let serial_wall = points.first().map(|p| p.wall_s).unwrap_or(f64::NAN);
-            let pts: Vec<String> = points
-                .iter()
-                .map(|p| intra_point_json(p, serial_wall))
-                .collect();
-            format!(
-                "    {{\"scenario\": \"{name}\", \"engine\": \"exact\", \"points\": [\n{}\n    ]}}",
-                pts.join(",\n")
-            )
-        })
-        .collect();
-    j.push_str(&curve_lines.join(",\n"));
-    j.push('\n');
-    j.push_str("  ]\n");
     j.push_str("}\n");
 
     std::fs::write(&out, j).expect("write benchmark json");

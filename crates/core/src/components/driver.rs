@@ -27,8 +27,8 @@ pub(crate) struct ClientSession {
     pub queue: VecDeque<TxnInput>,
     pub inflight: Option<TxnInput>,
     /// Aggregate model: the node population this active terminal came
-    /// from. `None` for exact-model sessions, recycled aggregate slots
-    /// and foreign-group mirror slots of windowed runs.
+    /// from. `None` for exact-model sessions and recycled aggregate
+    /// slots.
     pub agg_home: Option<u32>,
     /// Connection-pool queueing delay to fold into the next measured
     /// response time (always zero under the exact model).
@@ -128,9 +128,6 @@ pub struct WorkloadDriver {
     pub(crate) pools: Vec<Vec<Vec<AggConn>>>,
     /// Recycled session-slot ids (aggregate model only).
     pub(crate) free_slots: Vec<u32>,
-    /// Fresh-slot counter; slot ids are `counter * groups + my_group`
-    /// so the windowed engine's group worlds allocate disjoint ids.
-    pub(crate) next_local_slot: u64,
 }
 
 /// Keyed-timer key for a node population's aggregate wake event. Bit 61
@@ -351,48 +348,26 @@ impl World {
             .insert(conn, ConnKind::ClientPool { home: k, target });
     }
 
-    /// Allocate a session slot: recycle a freed one, else mint a fresh
-    /// id disjoint from every other group world's ids.
+    /// Allocate a session slot: recycle a freed one, else append a
+    /// fresh one to the session table.
     fn agg_alloc_slot(&mut self) -> u32 {
-        let id = match self.driver.free_slots.pop() {
-            Some(id) => id,
-            None => {
-                let (groups, my) = match self.fabric.xg.as_ref() {
-                    Some(xg) => (xg.groups as u64, xg.my_group as u64),
-                    None => (1, 0),
-                };
-                let id = self.driver.next_local_slot * groups + my;
-                self.driver.next_local_slot += 1;
-                id as u32
-            }
-        };
-        self.ensure_slot(id);
-        id
-    }
-
-    /// Grow the session table to cover slot `id` (used both for local
-    /// allocation and for foreign-group mirror slots shipped in by the
-    /// windowed engine). Existing slots are untouched.
-    pub(crate) fn ensure_slot(&mut self, id: u32) {
-        let i = id as usize;
+        if let Some(id) = self.driver.free_slots.pop() {
+            return id;
+        }
         let sessions = &mut self.driver.sessions;
-        if i < sessions.len() {
-            return;
-        }
         let hosts = &self.fabric.client_hosts;
-        while sessions.len() <= i {
-            let j = sessions.len();
-            sessions.push(ClientSession {
-                home_w: 1,
-                client_host: hosts[j % hosts.len()],
-                node: 0,
-                conn: None,
-                queue: VecDeque::new(),
-                inflight: None,
-                agg_home: None,
-                queue_delay: Duration::ZERO,
-            });
-        }
+        let id = sessions.len();
+        sessions.push(ClientSession {
+            home_w: 1,
+            client_host: hosts[id % hosts.len()],
+            node: 0,
+            conn: None,
+            queue: VecDeque::new(),
+            inflight: None,
+            agg_home: None,
+            queue_delay: Duration::ZERO,
+        });
+        id as u32
     }
 
     /// Recycle a finished aggregate session slot. The slot's fields are
@@ -469,15 +444,6 @@ impl World {
                 }
             }
         }
-        // Windowed mode note: a route that lands in a foreign group is
-        // not folded back in (that would shrink the page ping-pong set
-        // and distort coherence traffic). The connection below opens to
-        // the foreign node's local *replica* host, so the handshake and
-        // every request frame still compete for this world's fabric;
-        // delivery at the replica is intercepted in `on_message` and
-        // shipped across the window barrier to the owning group world,
-        // which executes on the authoritative node and sends the
-        // response through *its* fabric on a mirror connection.
         let cfg = self.tcp_config(false);
         let server_host = self.nodes[node as usize].host;
         let conn = self.with_net(|net, ob| {
@@ -505,21 +471,6 @@ impl World {
                 let node = s.node;
                 let home_w = s.home_w;
                 s.conn = None;
-                if self.xg_is_foreign(node) {
-                    // Windowed mode: tear down the executing world's
-                    // mirror connection for this shipped slot.
-                    let dest = self
-                        .fabric
-                        .xg
-                        .as_ref()
-                        .map(|xg| crate::components::fabric::xg_group_of(node, xg.nodes, xg.groups, xg.racks))
-                        .expect("foreign node outside windowed mode");
-                    self.xg_stage_now(
-                        dest,
-                        64,
-                        crate::components::fabric::XgPayload::ClientDone { session },
-                    );
-                }
                 self.agg_release_conn(k, node, conn);
                 self.agg_free_slot(session);
                 self.agg_return_terminal(k, home_w);
@@ -530,27 +481,10 @@ impl World {
                 net.close_connection(conn, Side::Opener, ob);
                 net.close_connection(conn, Side::Acceptor, ob);
             });
-            let s = &mut self.driver.sessions[session as usize];
-            s.conn = None;
-            let node = s.node;
+            self.driver.sessions[session as usize].conn = None;
             let delay = self.rng.exponential(self.cfg.think_time);
             self.heap
                 .push(self.now + delay, Ev::ClientThink { session });
-            // Windowed mode: tell the executing world to tear down its
-            // mirror connection for a shipped session.
-            if self.xg_is_foreign(node) {
-                let dest = self
-                    .fabric
-                    .xg
-                    .as_ref()
-                    .map(|xg| crate::components::fabric::xg_group_of(node, xg.nodes, xg.groups, xg.racks))
-                    .expect("foreign node outside windowed mode");
-                self.xg_stage_now(
-                    dest,
-                    64,
-                    crate::components::fabric::XgPayload::ClientDone { session },
-                );
-            }
             return;
         };
         s.inflight = Some(input);
@@ -567,10 +501,7 @@ impl World {
     }
 
     /// Called by the engine when a transaction finished: respond to the
-    /// waiting client. In windowed mode the session may be foreign-homed
-    /// (a shipped transaction): `conn` is then this executing world's
-    /// mirror connection, and the response travels this world's real
-    /// fabric before being relayed across the barrier at delivery.
+    /// waiting client.
     pub(crate) fn reply_to_client(&mut self, node: u32, session: u32) {
         let Some(conn) = self.driver.sessions[session as usize].conn else {
             return;

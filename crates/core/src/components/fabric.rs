@@ -9,7 +9,7 @@ use dclue_net::packet::Dscp;
 use dclue_net::tcp::TcpConfig;
 use dclue_net::types::Side;
 use dclue_net::{ConnId, HostId, LinkId, MsgId, NetEvent, NetNote, Network};
-use dclue_sim::{Duration, FxHashMap, Outbox, SimTime, TimerOp};
+use dclue_sim::{Duration, FxHashMap, Outbox, TimerOp};
 
 /// First reconnect attempt delay after a cluster connection dies with a
 /// crashed endpoint; doubles per attempt (capped) until the peer is back.
@@ -159,184 +159,6 @@ pub struct FabricPort {
     /// Autonomic QoS controller state: (baseline latency EWMA,
     /// recent latency EWMA, current AF weight).
     pub(crate) qos_ctl: (f64, f64, f64),
-    /// Cross-group context. `Some` only on the group worlds of the
-    /// windowed intra-run engine; `None` on serial worlds.
-    pub(crate) xg: Option<XgCtx>,
-}
-
-/// A cross-group message staged for the next window barrier.
-#[derive(Debug)]
-pub struct XgMsg {
-    /// Arrival estimate at the destination host: the packet-accurate
-    /// delivery time in the sending world for ghost-routed IPC, an
-    /// idle-path analytic estimate for shipped client traffic.
-    pub at: SimTime,
-    pub src_group: u32,
-    pub dest_group: u32,
-    /// Send order within the source group — the merge tiebreaker.
-    pub seq: u64,
-    /// Wire payload size, for the receiving world's downlink FIFO.
-    pub bytes: u64,
-    pub payload: XgPayload,
-}
-
-/// What a cross-group message carries. IPC is the bulk of the traffic;
-/// the client variants exist so a transaction routed *off* its home
-/// group (an affinity miss under `route_node`) executes on the node the
-/// serial engine would have picked — in the world that owns that node —
-/// instead of being folded back into the home group, which would
-/// shrink the page ping-pong set and flatter throughput.
-#[derive(Debug)]
-pub enum XgPayload {
-    /// Node-to-node IPC for a foreign-group destination node.
-    Ipc { to: u32, msg: IpcMsg },
-    /// A client request shipped to the group that owns the routed
-    /// node; carries the generated inputs since the owning world's
-    /// session replica never drew them.
-    ClientReq {
-        session: u32,
-        node: u32,
-        input: dclue_db::tpcc::TxnInput,
-        /// Connection-pool queueing delay to fold into the measured
-        /// response time (aggregate client model; zero under exact).
-        queued: dclue_sim::Duration,
-    },
-    /// The response back to the session's driving (home-group) world.
-    /// `ok = false` is the connection-reset equivalent: the business
-    /// transaction is abandoned and the terminal thinks and retries.
-    ClientResp { session: u32, ok: bool },
-    /// The session's business transaction completed (or was abandoned)
-    /// in its home world: the executing world tears down its mirror
-    /// connection for the session.
-    ClientDone { session: u32 },
-    /// Version-store writes committed in the source world this window:
-    /// `(table, row, row_bytes)` in write order. In the serial engine
-    /// the version store is one shared in-memory structure, so every
-    /// node's reads walk chains grown by the whole cluster's writes;
-    /// replaying peer writes at the barrier keeps each group's store
-    /// converged with that global state (chain lengths drive walk CPU,
-    /// overflow-area pressure and hence buffer stealing). Carries no
-    /// fabric cost — shared memory has none in the serial engine either
-    /// (the *coherence* traffic for the data itself is modelled
-    /// separately, identically in both engines).
-    Versions { writes: Vec<(u32, u64, u64)> },
-}
-
-/// Per-group state of the windowed intra-run engine (see
-/// `crate::windowed`). A group world *drives* only its own node
-/// subset; IPC destined for a foreign-group node is intercepted in
-/// [`World::send_ipc`], staged here, and exchanged at the window
-/// barrier instead of being packet-simulated. The fabric is thus the
-/// *only* cross-group channel: every other subsystem (CPU, disks,
-/// locks, buffer caches) is node-local by construction.
-pub(crate) struct XgCtx {
-    pub my_group: u32,
-    pub groups: u32,
-    pub nodes: u32,
-    /// Fabric racks (contiguous equal-size node blocks — edge switches
-    /// or LATAs), for rack-aligned group assignment.
-    pub racks: u32,
-    /// Messages for foreign-group nodes staged during this window.
-    pub outbox: Vec<XgMsg>,
-    pub next_seq: u64,
-    /// Virtual per-node uplink FIFO: the next instant each local
-    /// node's NIC finishes serializing prior cross-group sends. This
-    /// preserves NIC back-pressure ordering without simulating the
-    /// packets themselves.
-    pub uplink_free: Vec<SimTime>,
-    /// Virtual per-node *downlink* FIFO, advanced at injection time:
-    /// inbound cross-group messages from every sending world merge at
-    /// the barrier, then serialize onto the destination node's host
-    /// link here. The packet engine gives each sending world a private
-    /// replica of that link, so without this FIFO a node's inbound
-    /// capacity would silently scale with the group count.
-    pub downlink_free: Vec<SimTime>,
-}
-
-/// Which group a node belongs to.
-///
-/// **Rack-aligned branch** — when the fabric has at least as many
-/// racks as groups and racks are equal-size blocks (`racks >= groups`
-/// and `nodes % racks == 0`): whole racks map to groups by the
-/// contiguous block rule over *rack* indices, so no group boundary
-/// splits a rack. Every cross-group node pair is then also cross-rack,
-/// and the conservative lookahead in `World::min_xg_latency` derives
-/// from the larger inter-rack (trunked) latency instead of the global
-/// intra-switch minimum — wider windows, fewer barriers.
-///
-/// **Contiguous fallback** — otherwise (fewer racks than groups, e.g.
-/// the paper's single-switch star, or a rack count that does not
-/// divide the nodes): the plain block partition over node indices,
-/// group `g` owning `[ceil(g*N/G), ceil((g+1)*N/G))`. Lookahead then
-/// degrades to the intra-rack latency, which is correct (groups share
-/// a switch) but narrow. The fallback is deliberate and pinned by
-/// `xg_fallback_is_contiguous`: a group count that does not divide the
-/// edge-switch count still runs, it just windows conservatively.
-pub(crate) fn xg_group_of(node: u32, nodes: u32, groups: u32, racks: u32) -> u32 {
-    if xg_rack_aligned(nodes, groups, racks) {
-        let rack = node / (nodes / racks);
-        (rack as u64 * groups as u64 / racks as u64) as u32
-    } else {
-        (node as u64 * groups as u64 / nodes as u64) as u32
-    }
-}
-
-/// Whether the rack-aligned branch of [`xg_group_of`] applies: enough
-/// racks to hand every group at least one whole rack, and racks that
-/// are exact equal-size node blocks.
-pub(crate) fn xg_rack_aligned(nodes: u32, groups: u32, racks: u32) -> bool {
-    racks >= groups && nodes % racks == 0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Rack-aligned: 8 racks of 8 nodes across 4 groups — whole racks
-    /// map to groups, no group boundary splits a rack.
-    #[test]
-    fn xg_groups_align_to_racks() {
-        let (nodes, groups, racks) = (64, 4, 8);
-        assert!(xg_rack_aligned(nodes, groups, racks));
-        for node in 0..nodes {
-            let rack = node / 8;
-            assert_eq!(xg_group_of(node, nodes, groups, racks), rack / 2);
-        }
-    }
-
-    /// Racks that do not divide groups evenly still align: groups just
-    /// own unequal rack counts (here 2/1 racks over 3 racks, 2 groups).
-    #[test]
-    fn xg_uneven_rack_split_still_aligned() {
-        let (nodes, groups, racks) = (12, 2, 3);
-        assert!(xg_rack_aligned(nodes, groups, racks));
-        // Rack 0, 1 → group 0; rack 2 → group 1. Boundary at node 8.
-        for node in 0..8 {
-            assert_eq!(xg_group_of(node, nodes, groups, racks), 0);
-        }
-        for node in 8..12 {
-            assert_eq!(xg_group_of(node, nodes, groups, racks), 1);
-        }
-    }
-
-    /// Fewer racks than groups (the paper's one-switch star, or more
-    /// jobs than edge switches): the documented contiguous fallback —
-    /// the plain block partition over node indices, identical to the
-    /// pre-rack behaviour. Lookahead degrades to intra-rack latency
-    /// but the run stays correct.
-    #[test]
-    fn xg_fallback_is_contiguous() {
-        let (nodes, groups, racks) = (16, 4, 2);
-        assert!(!xg_rack_aligned(nodes, groups, racks));
-        for node in 0..nodes {
-            assert_eq!(
-                xg_group_of(node, nodes, groups, racks),
-                (node as u64 * groups as u64 / nodes as u64) as u32,
-            );
-        }
-        // Unequal rack blocks (nodes % racks != 0) also fall back.
-        assert!(!xg_rack_aligned(10, 2, 3));
-    }
 }
 
 impl FabricPort {
@@ -431,13 +253,6 @@ impl World {
         match self.fabric.conn_info.get(conn) {
             Some(ConnKind::Client { session }) => {
                 let s = *session;
-                // Windowed mode: the executing world's mirror of a
-                // shipped session opens a connection so the response can
-                // ride the real fabric, but the session is *driven* from
-                // its home world — nothing to send from here.
-                if self.xg_is_foreign_session(s) {
-                    return;
-                }
                 // Aggregate model: remember the pooled connection's
                 // handshake completed so later binds send immediately.
                 if let Some(k) = self.driver.sessions[s as usize].agg_home {
@@ -483,22 +298,6 @@ impl World {
                 if !self.alive[node as usize] {
                     return; // delivered to a crashed node: lost
                 }
-                if self.xg_is_foreign(node) {
-                    // Windowed mode: the packets arrived at a foreign
-                    // node's local *replica*; the authoritative copy
-                    // lives in the group world that owns the node. Stage
-                    // the message for the window barrier at the
-                    // packet-accurate arrival time — the owning world
-                    // pays the receive-side charges when it injects it.
-                    let dest = self
-                        .fabric
-                        .xg
-                        .as_ref()
-                        .map(|xg| xg_group_of(node, xg.nodes, xg.groups, xg.racks))
-                        .expect("foreign node outside windowed mode");
-                    self.xg_stage_now(dest, bytes, XgPayload::Ipc { to: node, msg: m });
-                    return;
-                }
                 let mut instr = self.paths.recv_instr(bytes);
                 // iSCSI adds protocol processing on the receiving host.
                 match &m {
@@ -524,55 +323,11 @@ impl World {
                     self.with_net(|net, ob| net.abort_connection(conn, ob));
                     return;
                 }
-                if self.xg_is_foreign(node) {
-                    // Windowed mode: the request traversed this (home)
-                    // world's fabric to the foreign node's local
-                    // *replica*; the authoritative node lives in the
-                    // owning group world. Stage it for the barrier at the
-                    // packet-accurate arrival time — the owning world
-                    // pays the receive/parse charges when it injects it.
-                    let Some(input) = self.driver.sessions[session as usize].inflight.clone()
-                    else {
-                        return;
-                    };
-                    let queued = {
-                        let s = &mut self.driver.sessions[session as usize];
-                        std::mem::replace(&mut s.queue_delay, Duration::ZERO)
-                    };
-                    let dest = self
-                        .fabric
-                        .xg
-                        .as_ref()
-                        .map(|xg| xg_group_of(node, xg.nodes, xg.groups, xg.racks))
-                        .expect("foreign node outside windowed mode");
-                    self.xg_stage_now(
-                        dest,
-                        bytes,
-                        XgPayload::ClientReq {
-                            session,
-                            node,
-                            input,
-                            queued,
-                        },
-                    );
-                    return;
-                }
                 let instr = self.paths.recv_instr(bytes) + self.paths.client_req_parse;
                 self.charge_then(node, instr, Action::StartTxn { node, session });
             }
             MsgTag::ClientResp { session } => {
                 // Arrives at the (un-modelled) client host.
-                if self.xg_is_foreign_session(session) {
-                    // Windowed mode: the response crossed the executing
-                    // world's fabric to the session's client-host replica;
-                    // relay it to the home world that drives the session.
-                    let home = self
-                        .xg_session_group(session)
-                        .expect("foreign session outside windowed mode");
-                    self.driver.sessions[session as usize].inflight = None;
-                    self.xg_stage_now(home, bytes, XgPayload::ClientResp { session, ok: true });
-                    return;
-                }
                 self.client_got_response(session);
             }
             MsgTag::FtpFile { pair } => {
@@ -642,19 +397,6 @@ impl World {
                     self.agg_return_terminal(k, home_w);
                     return;
                 }
-                if self.xg_is_foreign_session(session) {
-                    // Windowed mode: this is the executing world's mirror
-                    // connection of a shipped session (torn down by a
-                    // crash or remaster). Relay the reset to the home
-                    // world, which owns the think-and-retry loop.
-                    let s = &mut self.driver.sessions[session as usize];
-                    s.conn = None;
-                    s.queue.clear();
-                    s.inflight = None;
-                    let node = s.node;
-                    self.xg_client_reset(session, node);
-                    return;
-                }
                 // The business transaction is abandoned; think and retry.
                 let think = self.cfg.think_time;
                 let s = &mut self.driver.sessions[session as usize];
@@ -704,13 +446,6 @@ impl World {
                 ConnClass::Storage => self.collect.storage_msgs += 1,
             }
         }
-        // Windowed mode: a cross-group message still rides the real
-        // packet network *in this world* — to the destination node's
-        // local replica — so it competes with every other flow for the
-        // shared fabric exactly as in the serial engine. The hand-off
-        // to the authoritative world happens at delivery (`on_message`
-        // stages it for the window barrier with the packet-accurate
-        // arrival time instead of processing it on the replica).
         let Some(conn) = self
             .fabric
             .cluster_conns
@@ -732,115 +467,6 @@ impl World {
         self.nodes[from as usize].cpu.account_bus(self.now, bus);
         self.charge_then(from, instr, Action::Nop);
         self.with_net(|net, ob| net.send_message(conn, side, id, bytes, ob));
-    }
-
-    /// Stage a cross-group message for the next window barrier. The
-    /// arrival estimate is the idle-path analytic latency from
-    /// `from_host` to `to_host`; when `uplink_node` is a cluster node,
-    /// the send additionally serializes behind that node's earlier
-    /// cross-group sends on a virtual uplink FIFO (client hosts are
-    /// unmodelled in the serial engine too, so their sends skip it).
-    /// An unroutable path (partitioned fabric) drops the message, the
-    /// same outcome the packet engine's reset path produces.
-    pub(crate) fn xg_stage(
-        &mut self,
-        from_host: HostId,
-        to_host: HostId,
-        uplink_node: Option<u32>,
-        dest_group: u32,
-        bytes: u64,
-        payload: XgPayload,
-    ) {
-        let packets = bytes.div_ceil(1460).max(1);
-        let Some((uplink_tx, rest)) = self
-            .fabric
-            .net
-            .path_profile(from_host, to_host, bytes, packets)
-        else {
-            return;
-        };
-        let xg = self
-            .fabric
-            .xg
-            .as_mut()
-            .expect("xg_stage called outside windowed mode");
-        let t0 = match uplink_node {
-            Some(n) => {
-                let t0 = xg.uplink_free[n as usize].max(self.now);
-                xg.uplink_free[n as usize] = t0 + uplink_tx;
-                t0
-            }
-            None => self.now,
-        };
-        let seq = xg.next_seq;
-        xg.next_seq += 1;
-        xg.outbox.push(XgMsg {
-            at: t0 + uplink_tx + rest,
-            src_group: xg.my_group,
-            dest_group,
-            seq,
-            bytes,
-            payload,
-        });
-    }
-
-    /// Stage a cross-group message whose wire traversal was already
-    /// packet-simulated in this world (ghost delivery to a foreign
-    /// replica): the arrival time is simply *now*.
-    pub(crate) fn xg_stage_now(&mut self, dest_group: u32, bytes: u64, payload: XgPayload) {
-        let now = self.now;
-        let xg = self
-            .fabric
-            .xg
-            .as_mut()
-            .expect("xg_stage_now called outside windowed mode");
-        let seq = xg.next_seq;
-        xg.next_seq += 1;
-        xg.outbox.push(XgMsg {
-            at: now,
-            src_group: xg.my_group,
-            dest_group,
-            seq,
-            bytes,
-            payload,
-        });
-    }
-
-    /// Whether `node` belongs to a foreign group (always false outside
-    /// windowed mode).
-    pub(crate) fn xg_is_foreign(&self, node: u32) -> bool {
-        self.fabric
-            .xg
-            .as_ref()
-            .is_some_and(|xg| xg_group_of(node, xg.nodes, xg.groups, xg.racks) != xg.my_group)
-    }
-
-    /// Whether `session` is driven by a *different* group world (its
-    /// local state here is a mirror). Always false outside windowed
-    /// mode and in the session's home world.
-    pub(crate) fn xg_is_foreign_session(&self, session: u32) -> bool {
-        match (self.xg_session_group(session), self.fabric.xg.as_ref()) {
-            (Some(home), Some(xg)) => home != xg.my_group,
-            _ => false,
-        }
-    }
-
-    /// The home group of a client session: the group owning the node
-    /// its home warehouse block lives on (windowed mode only). Under
-    /// the aggregate client model, slot ids are minted per group as
-    /// `counter * groups + my_group`, so the home group is recoverable
-    /// from the id alone — mirror slots never learn the real `home_w`.
-    pub(crate) fn xg_session_group(&self, session: u32) -> Option<u32> {
-        let xg = self.fabric.xg.as_ref()?;
-        if self.cfg.client_model == crate::config::ClientModel::Aggregate {
-            return Some(session % xg.groups);
-        }
-        let home = dclue_workload::home_node(
-            self.driver.sessions[session as usize].home_w,
-            self.warehouses,
-            self.cfg.nodes,
-        );
-        Some(xg_group_of(home, xg.nodes, xg.groups, xg.racks))
     }
 
     /// Send a client-bound or server-bound message on a client conn.

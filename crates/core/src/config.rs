@@ -57,7 +57,7 @@ pub enum ClientModel {
     /// transactions), not O(terminals), so million-terminal
     /// populations are a scenario, not an OOM. Statistically
     /// equivalent to `Exact` at matched populations (the same ladder
-    /// the windowed and train engines are held to), not bit-identical.
+    /// the train engine is held to), not bit-identical.
     Aggregate,
 }
 
@@ -216,22 +216,6 @@ pub struct ClusterConfig {
     /// train events — statistically equivalent but not bit-identical;
     /// see DESIGN.md "The hybrid train model".
     pub exact: bool,
-    /// Intra-run parallelism: partition the cluster's nodes into this
-    /// many groups and execute them concurrently in conservative time
-    /// windows (DESIGN.md §13). `0` or `1` takes the untouched serial
-    /// event loop — the bit-identical baseline. Windowed runs are
-    /// deterministic for a fixed group count but only statistically
-    /// equivalent to serial: cross-group fabric traffic is staged as
-    /// ghost messages and delivered at the next window barrier in a
-    /// canonical `(time, source group, sequence)` order, so delivery
-    /// times are quantized to the window rather than packet-simulated
-    /// edge-to-edge.
-    pub intra_jobs: u32,
-    /// Width of the windowed engine's time window. `ZERO` = automatic:
-    /// max(minimum cross-group control-message latency, 1 ms). Larger
-    /// windows amortize barrier overhead at the cost of more cross-group
-    /// delivery-time distortion.
-    pub intra_window: Duration,
     // ---- fabric ----
     /// Fabric shape the topology layer compiles (DESIGN.md §15).
     pub topology: FabricShape,
@@ -339,8 +323,6 @@ impl Default for ClusterConfig {
             warmup: Duration::from_secs(15),
             seed: 42,
             exact: true,
-            intra_jobs: 0,
-            intra_window: Duration::ZERO,
             topology: FabricShape::Paper,
             edge_switches: 0,
             nodes_per_edge: 0,
@@ -540,28 +522,6 @@ impl ClusterConfig {
                  coalesces the segments the reset is meant to kill mid-flight)"
                     .into(),
             );
-        }
-        if self.intra_jobs > 1 {
-            if self.intra_jobs > self.nodes {
-                return Err(format!(
-                    "intra_jobs ({}) exceeds nodes ({}); every execution group \
-                     needs at least one node — lower intra_jobs or grow the cluster",
-                    self.intra_jobs, self.nodes
-                ));
-            }
-            if self.nodes > 65536 {
-                return Err(format!(
-                    "intra_jobs > 1 requires nodes <= 65536 ({} given): windowed \
-                     transaction ids carry the executing node in their low 16 bits",
-                    self.nodes
-                ));
-            }
-            if self.chaos_ipc_reset_at.is_some() {
-                return Err("chaos_ipc_reset_at is a serial-engine determinism hook; \
-                     it cannot target a connection from a windowed run — set \
-                     intra_jobs = 1 (use fault_plan for windowed fault tests)"
-                    .into());
-            }
         }
         if self.client_conns_per_node == 0 {
             return Err(

@@ -129,20 +129,8 @@ impl World {
         let Some(input) = self.driver.sessions[session as usize].inflight.clone() else {
             return;
         };
-        let id = if self.fabric.xg.is_some() {
-            // Windowed mode: carry the executing node in the low 16
-            // bits so a foreign group world — which has no `Txn` entry
-            // for this transaction — can still resolve where lock
-            // replies and grants must travel. Config validation caps
-            // windowed runs at 65536 nodes for exactly this reason.
-            let id = (self.next_txn << 16) | node as u64;
-            self.next_txn += 1;
-            id
-        } else {
-            let id = self.next_txn;
-            self.next_txn += 1;
-            id
-        };
+        let id = self.next_txn;
+        self.next_txn += 1;
         dclue_trace::trace_span!(Db, Begin, self.now.0, "txn", id);
         let queued = {
             let s = &mut self.driver.sessions[session as usize];
@@ -727,33 +715,11 @@ impl World {
         }
     }
 
-    /// In windowed mode, resolve a transaction id with no local `Txn`
-    /// entry to its executing node — valid only when that node lives in
-    /// a *foreign* group (the txn is real there; this world merely
-    /// relays fabric messages for it). Returns `None` for local nodes:
-    /// a missing local entry means the transaction genuinely ended.
-    fn xg_foreign_node(&self, txn: u64) -> Option<u32> {
-        let xg = self.fabric.xg.as_ref()?;
-        let node = (txn & 0xFFFF) as u32;
-        if node < xg.nodes
-            && crate::components::fabric::xg_group_of(node, xg.nodes, xg.groups, xg.racks) != xg.my_group
-        {
-            Some(node)
-        } else {
-            None
-        }
-    }
-
     /// The master granted `res` to `waiter` after a release.
     pub(crate) fn notify_grant(&mut self, master: u32, waiter: u64, res: ResourceId) {
         let wnode = match self.txns.get(&waiter) {
             Some(t) => t.node,
-            // Foreign waiter (windowed mode): the Txn lives in another
-            // group world; route the grant there over the fabric.
-            None => match self.xg_foreign_node(waiter) {
-                Some(n) => n,
-                None => return, // waiter died; its ReleaseAll will clean up
-            },
+            None => return, // waiter died; its ReleaseAll will clean up
         };
         if wnode == master {
             self.lock_granted(waiter, res);
@@ -915,16 +881,11 @@ impl World {
                 };
                 let requester = match self.txns.get(&txn) {
                     Some(t) => t.node,
-                    // Foreign requester (windowed mode): no local Txn
-                    // entry by design; decode the node from the id.
-                    None => match self.xg_foreign_node(txn) {
-                        Some(n) => n,
-                        None => {
-                            // Requester vanished; undo a successful grant.
-                            self.nodes[node as usize].locks.release_all(txn);
-                            return;
-                        }
-                    },
+                    None => {
+                        // Requester vanished; undo a successful grant.
+                        self.nodes[node as usize].locks.release_all(txn);
+                        return;
+                    }
                 };
                 self.send_ipc(
                     node,

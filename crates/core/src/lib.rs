@@ -54,15 +54,13 @@ pub mod pathlen;
 pub mod protocol;
 pub mod sweep;
 pub mod topology;
-pub mod windowed;
 pub mod world;
 
 pub use components::fabric::FabricPort;
 pub use config::{
     ClientModel, ClusterConfig, DbGrowth, FabricShape, ProtocolKind, QosPolicy, TcpOffload,
 };
-pub use topology::{BuiltTopology, Placement, Topology};
 pub use metrics::Report;
 pub use protocol::{CacheFusion2pl, CoherenceProtocol, MvccReadLease};
-pub use windowed::{run_one, run_windowed, WindowedStats};
+pub use topology::{BuiltTopology, Placement, Topology};
 pub use world::World;

@@ -90,37 +90,6 @@ impl Collector {
             ..Default::default()
         }
     }
-
-    /// Fold another group's window counters into this one (windowed
-    /// intra-run engine): counters sum, tallies and histograms merge
-    /// via their parallel-combine rules. Both windows started at the
-    /// same instant by construction, so `window_start` is untouched.
-    pub fn merge(&mut self, other: &Collector) {
-        self.committed += other.committed;
-        self.committed_new_orders += other.committed_new_orders;
-        self.aborted += other.aborted;
-        self.ctl_msgs += other.ctl_msgs;
-        self.data_msgs += other.data_msgs;
-        self.storage_msgs += other.storage_msgs;
-        self.lock_waits += other.lock_waits;
-        self.lock_busies += other.lock_busies;
-        self.lock_wait.merge(&other.lock_wait);
-        self.txn_latency.merge(&other.txn_latency);
-        self.fusion_transfers += other.fusion_transfers;
-        self.lease_transfers += other.lease_transfers;
-        self.lease_renewals += other.lease_renewals;
-        self.disk_reads += other.disk_reads;
-        self.remote_disk_reads += other.remote_disk_reads;
-        self.log_writes += other.log_writes;
-        self.version_walks += other.version_walks;
-        self.ftp_denied += other.ftp_denied;
-        self.ipc_resets += other.ipc_resets;
-        self.ftp_bytes_delivered += other.ftp_bytes_delivered;
-        self.ftp_transfers += other.ftp_transfers;
-        self.aborted_by_fault += other.aborted_by_fault;
-        self.iscsi_retries += other.iscsi_retries;
-        self.latency_hist.merge(&other.latency_hist);
-    }
 }
 
 /// The end-of-run report: everything the paper's figures plot.

@@ -32,11 +32,9 @@ pub fn expand_seeds(cfg: &ClusterConfig, seeds: u64) -> Vec<ClusterConfig> {
 }
 
 /// Run every config across `jobs` workers; reports in submission order.
-/// Each point dispatches through [`crate::windowed::run_one`], so a
-/// config with `intra_jobs >= 2` runs its single simulation on the
-/// windowed multi-threaded engine while still occupying one pool slot.
+/// Each point is one serial simulation, `World::new(cfg).run()`.
 pub fn run_many(jobs: usize, cfgs: Vec<ClusterConfig>) -> Vec<Report> {
-    run_ordered(jobs, cfgs, crate::windowed::run_one)
+    run_ordered(jobs, cfgs, |cfg| crate::World::new(cfg).run())
 }
 
 /// Run each config across `seeds` seeds (all points share one pool) and

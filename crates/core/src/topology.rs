@@ -8,9 +8,8 @@
 //!    BFS routes),
 //! 2. the host handles the world wires components to (node hosts in
 //!    node order, client hosts, the FTP pair), and
-//! 3. a [`Placement`] map (node → rack) that drives affinity-aware
-//!    scheduling downstream: rack-aligned windowed partitioning and
-//!    per-tier trunk accounting.
+//! 3. a [`Placement`] map (node → rack) plus the worst-case path
+//!    depth the report publishes as `max_path_hops`.
 //!
 //! Two shapes exist. [`Topology::Paper`] is the ICPP'05 Fig 1 star —
 //! one switch, or two LATA switches behind an outer core — and its
@@ -27,8 +26,7 @@
 //! utilization to the tier that actually saturates.
 //!
 //! Topology construction consumes **no randomness**: the same config
-//! always compiles to the same graph, so group worlds in the windowed
-//! engine rebuild an identical fabric from the config alone.
+//! always compiles to the same graph.
 
 use crate::config::{ClusterConfig, FabricShape};
 use dclue_net::device::PortPolicy;
@@ -39,9 +37,7 @@ use dclue_sim::Duration;
 ///
 /// A *rack* is the unit of fabric locality: the set of nodes behind
 /// one edge switch (hierarchical) or inside one LATA (paper). Racks
-/// are always contiguous equal-size node blocks, which is what lets
-/// the windowed engine align execution groups to rack boundaries
-/// (`components::fabric::xg_group_of`).
+/// are always contiguous node blocks.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Placement {
     /// Rack index per node, `rack_of[node]`.

@@ -8,7 +8,7 @@ use crate::components::platform::PlatformPort;
 use crate::components::storage::{LogBatch, StoragePort};
 use crate::config::{ClientModel, ClusterConfig, ProtocolKind, QosPolicy, StorageMode};
 use crate::fusion::Directory;
-use crate::ipc::{ConnClass, IpcMsg};
+use crate::ipc::ConnClass;
 use crate::metrics::{Collector, Report};
 use crate::node::{DiskKind, Node};
 use crate::pathlen::PathLengths;
@@ -103,13 +103,6 @@ pub enum Ev {
     Sample,
     EndWarmup,
     EndRun,
-    /// A cross-group message injected at a window barrier by the
-    /// windowed intra-run engine (`crate::windowed`). Carries the
-    /// receive side of what the packet engine would have done had the
-    /// message been simulated on this world's fabric.
-    XgIpc {
-        msg: crate::components::fabric::XgPayload,
-    },
 }
 
 // ---------------------------------------------------------------------
@@ -224,8 +217,8 @@ pub struct World {
     pub(crate) leases: Vec<FxHashMap<PageKey, SimTime>>,
     /// Network fabric: TCP state, conn tables, QoS controller.
     pub(crate) fabric: FabricPort,
-    /// Node → rack map from the topology layer (drives rack-aligned
-    /// windowed partitioning and the report's path stats).
+    /// Node → rack map from the topology layer (drives the report's
+    /// path stats).
     pub(crate) placement: crate::topology::Placement,
     /// Platform/CPU: the deferred-action table.
     pub(crate) platform: PlatformPort,
@@ -253,20 +246,6 @@ pub struct World {
 impl World {
     /// Build the whole cluster per the configuration.
     pub fn new(cfg: ClusterConfig) -> Self {
-        Self::new_inner(cfg, None)
-    }
-
-    /// Build a *group world* for the windowed intra-run engine: a full
-    /// replica of the cluster (identical topology, connections and RNG
-    /// stream — so every id allocation matches the serial world) that
-    /// *drives* only the client sessions homed on group `group`'s node
-    /// block. Must be called on the thread that will run the world, so
-    /// the thread-local invariant checks arm where the events dispatch.
-    pub(crate) fn new_group(cfg: ClusterConfig, group: u32, groups: u32) -> Self {
-        Self::new_inner(cfg, Some((group, groups)))
-    }
-
-    fn new_inner(cfg: ClusterConfig, xg: Option<(u32, u32)>) -> Self {
         // Arm the stateful invariant checks (debug/test builds) before
         // any setup traffic: connection-open SYNs emitted here must be
         // in the conservation ledger when `run` later delivers them.
@@ -388,8 +367,8 @@ impl World {
             ClientModel::Aggregate => {
                 // No per-terminal state: each node carries its exact
                 // share of the population (the closed form counts the
-                // terminals the exact layout would home there, so
-                // windowed group worlds agree without enumerating).
+                // terminals the exact layout would home there without
+                // enumerating them).
                 let total = cfg.nodes as u64 * cfg.clients_per_node as u64;
                 let agg: Vec<crate::components::driver::AggPopulation> = (0..cfg.nodes)
                     .map(|k| {
@@ -456,16 +435,6 @@ impl World {
                 trunk_bytes_at_warmup: [0, 0],
                 client_hosts,
                 qos_ctl: (0.0, 0.0, 0.6),
-                xg: xg.map(|(g, gs)| crate::components::fabric::XgCtx {
-                    my_group: g,
-                    groups: gs,
-                    nodes: cfg.nodes,
-                    racks: placement.racks,
-                    outbox: Vec::new(),
-                    next_seq: 0,
-                    uplink_free: vec![SimTime::ZERO; cfg.nodes as usize],
-                    downlink_free: vec![SimTime::ZERO; cfg.nodes as usize],
-                }),
             },
             placement,
             platform: PlatformPort {
@@ -489,7 +458,6 @@ impl World {
                 agg,
                 pools,
                 free_slots: Vec::new(),
-                next_local_slot: 0,
             },
             txns: FxHashMap::default(),
             next_txn: 0,
@@ -503,37 +471,7 @@ impl World {
             done: false,
             cfg,
         };
-        if world.fabric.xg.is_some() {
-            // Windowed mode: record local version-store writes so each
-            // barrier can replay them into the peer groups' replicas of
-            // the logically-shared store.
-            world.db.versions.enable_replication();
-        }
         world.prewarm();
-        // Windowed mode: de-correlate each group's workload sampling.
-        // Every replica is built from `cfg.seed` so topology, prewarm
-        // residency and the seeded directory agree across worlds — but
-        // if the *workload* streams stayed identical too, the G groups
-        // would draw the same think-time/item/customer sequences for
-        // their own session blocks, i.e. the cluster would sample G
-        // duplicated copies of one random trace. That measurably shrinks
-        // the distinct cold-page set (fewer first-touch disk reads than
-        // an independent 480-terminal population produces). Re-derive
-        // the event-time RNG and the TPC-C generator per group *after*
-        // prewarm so shared init state stays bit-identical while the
-        // terminals sample independently, like they do in one world.
-        if let Some((g, groups)) = xg {
-            if groups > 1 {
-                // `SimRng::derive` mixes only its tag (streams are stable
-                // across seeds), so salt the config seed directly for the
-                // event-time RNG and give the generator a distinct fixed
-                // stream per group, mirroring serial's fixed `derive(1)`.
-                let salt = (g as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                world.rng = SimRng::new(world.cfg.seed ^ salt);
-                let scale = world.cfg.tpcc_scale();
-                world.driver.gen = TpccGenerator::new(scale, world.rng.derive(1000 + g as u64));
-            }
-        }
         world.init_schedule();
         world
     }
@@ -717,24 +655,10 @@ impl World {
         // Stagger client session starts across warm-up plus a think
         // time, so the cluster ramps up rather than being hit by a
         // thundering herd that tips it into thrash before measurement.
-        // A group world draws the jitter for *every* session (keeping
-        // its RNG stream aligned with the serial world) but schedules
-        // only the sessions homed on its own node block.
         let span = (self.cfg.warmup.nanos()).max(1);
         for s in 0..self.driver.sessions.len() {
             let jitter = Duration::from_nanos(self.rng.uniform(1_000_000, span))
                 + self.rng.exponential(self.cfg.think_time);
-            if let Some(xg) = &self.fabric.xg {
-                let home = dclue_workload::home_node(
-                    self.driver.sessions[s].home_w,
-                    self.warehouses,
-                    self.cfg.nodes,
-                );
-                if crate::components::fabric::xg_group_of(home, xg.nodes, xg.groups, xg.racks) != xg.my_group
-                {
-                    continue;
-                }
-            }
             self.heap.push(
                 SimTime::ZERO + jitter,
                 Ev::ClientThink { session: s as u32 },
@@ -746,14 +670,10 @@ impl World {
         // the warm-up span. A bounded number of activation ticks per
         // node (dormant → thinking) reproduces that transient in O(1)
         // events regardless of population; the Exp(think) component is
-        // the superposed process's own first arrival. A group world
-        // activates only the populations of its own node block.
+        // the superposed process's own first arrival.
         if self.cfg.client_model == ClientModel::Aggregate {
             let ramp = self.cfg.warmup.nanos().max(1);
             for k in 0..self.cfg.nodes {
-                if self.xg_is_foreign(k) {
-                    continue;
-                }
                 let pop = self.driver.agg[k as usize].population;
                 let ticks = pop.min(64);
                 let mut activated = 0u64;
@@ -771,11 +691,8 @@ impl World {
                 }
             }
         }
-        // FTP starts halfway through warm-up. Group 0 owns the single
-        // FTP pair in windowed mode (its endpoints are client hosts,
-        // not nodes, so any one group can drive it).
-        let drives_ftp = self.fabric.xg.as_ref().is_none_or(|xg| xg.my_group == 0);
-        if self.cfg.ftp_offered_bps > 0.0 && drives_ftp {
+        // FTP starts halfway through warm-up.
+        if self.cfg.ftp_offered_bps > 0.0 {
             self.heap.push(
                 SimTime::ZERO + Duration::from_nanos(span),
                 Ev::FtpNext { pair: 0 },
@@ -815,161 +732,6 @@ impl World {
         let report = self.build_report();
         dclue_trace::invariant::disarm();
         report
-    }
-
-    // ------------------------------------------------------------------
-    // Windowed intra-run execution (driven by `crate::windowed`)
-    // ------------------------------------------------------------------
-
-    /// Process every pending event strictly before `limit`, then stop.
-    /// The windowed driver calls this once per window between barriers.
-    /// Returns early (with `done()` set) when `EndRun` pops, matching
-    /// `run`'s semantics of abandoning in-flight work at end of run.
-    pub(crate) fn run_window(&mut self, limit: SimTime) {
-        if self.done {
-            return;
-        }
-        while let Some((t, ev)) = self.heap.pop_until(limit) {
-            dclue_trace::invariant::clock(dclue_trace::invariant::Clock::Dispatch, 0, t.0);
-            dclue_trace::trace_event!(Sim, t.0, "dispatch", self.heap.total_popped());
-            self.now = t;
-            if matches!(ev, Ev::EndRun) {
-                self.done = true;
-                return;
-            }
-            self.dispatch(ev);
-        }
-    }
-
-    /// Whether this world has reached `EndRun`.
-    pub(crate) fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Drain the cross-group messages staged during the last window.
-    pub(crate) fn take_xg_outbox(&mut self) -> Vec<crate::components::fabric::XgMsg> {
-        let Some(xg) = self.fabric.xg.as_ref() else {
-            return Vec::new();
-        };
-        // Broadcast this window's version-store writes so every group's
-        // replica of the logically-shared store converges (see the
-        // `XgPayload::Versions` docs for why this carries no wire cost).
-        let (my, groups) = (xg.my_group, xg.groups);
-        let writes = self.db.versions.take_repl_log();
-        if !writes.is_empty() {
-            for g in 0..groups {
-                if g != my {
-                    self.xg_stage_now(
-                        g,
-                        0,
-                        crate::components::fabric::XgPayload::Versions {
-                            writes: writes.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        match &mut self.fabric.xg {
-            Some(xg) => std::mem::take(&mut xg.outbox),
-            None => Vec::new(),
-        }
-    }
-
-    /// Inject a cross-group message merged at the window barrier. The
-    /// delivery time is clamped to the *next* window's start so the
-    /// conservative lookahead holds for any window width: nothing is
-    /// ever scheduled into a window a group has already executed.
-    pub(crate) fn inject_xg(&mut self, floor: SimTime, m: crate::components::fabric::XgMsg) {
-        let mut at = m.at.max(floor);
-        // Serialize onto the destination node's inbound host link.
-        // Each sending world packet-simulates its *own* traffic to this
-        // node on a private replica of that link; the merge point is
-        // the only place all inbound streams meet, so the shared-link
-        // FIFO queuing between them is applied here (injection order is
-        // the deterministic merge order, so this stays reproducible).
-        let dest_node = match &m.payload {
-            crate::components::fabric::XgPayload::Ipc { to, .. } => Some(*to),
-            crate::components::fabric::XgPayload::ClientReq { node, .. } => Some(*node),
-            // Responses land on unmodelled client hosts: no shared link.
-            // ClientDone is a tiny control notification to the mirror;
-            // Versions replays shared-memory state (no wire at all).
-            crate::components::fabric::XgPayload::ClientResp { .. }
-            | crate::components::fabric::XgPayload::ClientDone { .. }
-            | crate::components::fabric::XgPayload::Versions { .. } => None,
-        };
-        if let (Some(n), Some(xg)) = (dest_node, self.fabric.xg.as_mut()) {
-            let tx = Duration::from_secs_f64(m.bytes as f64 * 8.0 / self.cfg.link_bw);
-            let free = &mut xg.downlink_free[n as usize];
-            at = at.max(*free);
-            *free = at + tx;
-        }
-        self.heap.push(at, Ev::XgIpc { msg: m.payload });
-    }
-
-    /// The smallest idle-path latency of a control-size IPC message
-    /// between nodes of *different* groups — the provable lower bound
-    /// on cross-group reaction time that makes a window of this width
-    /// conservative. Deterministic, so every group computes the same
-    /// value independently.
-    pub(crate) fn min_xg_latency(&self, groups: u32) -> Duration {
-        let n = self.cfg.nodes;
-        let racks = self.placement.racks;
-        let ctl = crate::ipc::CTL_BYTES;
-        let mut min: Option<Duration> = None;
-        for a in 0..n {
-            for b in 0..n {
-                if a == b
-                    || crate::components::fabric::xg_group_of(a, n, groups, racks)
-                        == crate::components::fabric::xg_group_of(b, n, groups, racks)
-                {
-                    continue;
-                }
-                let (ha, hb) = (self.nodes[a as usize].host, self.nodes[b as usize].host);
-                if let Some((tx, rest)) = self.fabric.net.path_profile(ha, hb, ctl, 1) {
-                    let lat = tx + rest;
-                    min = Some(match min {
-                        Some(m) if m <= lat => m,
-                        _ => lat,
-                    });
-                }
-            }
-        }
-        min.unwrap_or(Duration::from_millis(1))
-    }
-
-    /// Fold group world `other` into `self` (which must be group 0)
-    /// after every group reached `EndRun`: counters and distributions
-    /// merge, the timeline sums entrywise at its aligned 500 ms ticks,
-    /// and `other`'s *driven* nodes replace our idle replicas so the
-    /// per-node CPU/disk/buffer statistics in the report are the real
-    /// ones. Call once per foreign group, then `build_report` as usual.
-    pub(crate) fn absorb_group(&mut self, other: &mut World) {
-        let Some(oxg) = other.fabric.xg.as_ref() else {
-            return;
-        };
-        let (g, gs, n, racks) = (oxg.my_group, oxg.groups, oxg.nodes, oxg.racks);
-        self.collect.merge(&other.collect);
-        for (mine, theirs) in self.timeline.iter_mut().zip(other.timeline.iter()) {
-            debug_assert_eq!(mine.0, theirs.0, "misaligned timeline ticks");
-            mine.1 += theirs.1;
-            mine.2 += theirs.2;
-        }
-        for node in 0..n {
-            if crate::components::fabric::xg_group_of(node, n, gs, racks) == g {
-                std::mem::swap(
-                    &mut self.nodes[node as usize],
-                    &mut other.nodes[node as usize],
-                );
-            }
-        }
-        // FTP lives on group 0; foreign replicas carry no denials.
-        debug_assert!(g != 0);
-    }
-
-    /// Build the merged report (windowed driver only; serial runs get
-    /// theirs from `run`).
-    pub(crate) fn into_report(mut self) -> Report {
-        self.build_report()
     }
 
     /// The node → rack placement the topology layer compiled.
@@ -1105,168 +867,7 @@ impl World {
             }
             Ev::EndWarmup => self.end_warmup(),
             Ev::EndRun => unreachable!("handled in run()"),
-            Ev::XgIpc { msg } => self.xg_deliver(msg),
         }
-    }
-
-    /// Deliver a cross-group message injected at a window barrier.
-    /// Mirrors the receive side of what `on_message` would have done:
-    /// the wire already "happened" analytically, so only the host-side
-    /// processing charges (and the protocol consequences) remain.
-    fn xg_deliver(&mut self, msg: crate::components::fabric::XgPayload) {
-        use crate::components::fabric::XgPayload;
-        match msg {
-            XgPayload::Ipc { to, msg } => {
-                if !self.alive[to as usize] {
-                    return; // delivered to a crashed node: lost
-                }
-                let bytes = msg.wire_bytes();
-                let mut instr = self.paths.recv_instr(bytes);
-                match &msg {
-                    IpcMsg::IscsiData { .. } => {
-                        instr += self.paths.iscsi_initiator_per_io
-                            + self.paths.iscsi_initiator_per_kb * bytes.div_ceil(1024);
-                    }
-                    IpcMsg::IscsiRead { .. } | IpcMsg::IscsiWrite { .. } => {
-                        instr += self.paths.iscsi_target_per_io
-                            + self.paths.iscsi_target_per_kb * bytes.div_ceil(1024);
-                    }
-                    _ => {}
-                }
-                let bus = self.paths.recv_bus_bytes(bytes);
-                self.nodes[to as usize].cpu.account_bus(self.now, bus);
-                self.charge_then(
-                    to,
-                    instr,
-                    crate::components::platform::Action::HandleIpc { node: to, msg },
-                );
-            }
-            XgPayload::ClientReq {
-                session,
-                node,
-                input,
-                queued,
-            } => {
-                // Aggregate model: mirror slots materialize on first
-                // contact (the home world mints slot ids dynamically).
-                self.ensure_slot(session);
-                if !self.alive[node as usize] {
-                    // Landed on a crashed node: the serial engine
-                    // resets the client connection; the reset rides
-                    // back as a failed response (RST-sized frame, no
-                    // NIC serialization from a dead host).
-                    self.xg_client_reset(session, node);
-                    return;
-                }
-                // Ensure this executing world holds a mirror connection
-                // for the shipped session, so the response rides the
-                // real fabric (server-uplink contention included) and is
-                // relayed home at delivery. Reused across requests of
-                // the same business transaction; reopened if the session
-                // was re-routed to a different node of this group.
-                let (client_host, cur_conn, cur_node) = {
-                    let s = &self.driver.sessions[session as usize];
-                    (s.client_host, s.conn, s.node)
-                };
-                if cur_conn.is_none() || cur_node != node {
-                    if let Some(old) = cur_conn {
-                        self.with_net(|net, ob| {
-                            net.close_connection(old, dclue_net::types::Side::Opener, ob);
-                            net.close_connection(old, dclue_net::types::Side::Acceptor, ob);
-                        });
-                    }
-                    let server_host = self.nodes[node as usize].host;
-                    let tcfg = self.tcp_config(false);
-                    let conn = self.with_net(|net, ob| {
-                        net.open_connection(
-                            client_host,
-                            server_host,
-                            dclue_net::packet::Dscp::BestEffort,
-                            tcfg,
-                            ob,
-                        )
-                    });
-                    self.fabric.conn_info.insert(
-                        conn,
-                        crate::components::fabric::ConnKind::Client { session },
-                    );
-                    self.driver.sessions[session as usize].conn = Some(conn);
-                }
-                let s = &mut self.driver.sessions[session as usize];
-                s.node = node;
-                s.inflight = Some(input);
-                s.queue_delay = queued;
-                let instr = self.paths.recv_instr(crate::ipc::CLIENT_REQ_BYTES)
-                    + self.paths.client_req_parse;
-                self.charge_then(
-                    node,
-                    instr,
-                    crate::components::platform::Action::StartTxn { node, session },
-                );
-            }
-            XgPayload::ClientResp { session, ok } => {
-                if ok {
-                    self.driver.sessions[session as usize].inflight = None;
-                    self.client_got_response(session);
-                } else if let Some(conn) = self.driver.sessions[session as usize].conn {
-                    // Connection-reset equivalent from the executing
-                    // world: abort this home world's client connection;
-                    // `on_reset` abandons the business transaction and
-                    // schedules the think-and-retry.
-                    self.with_net(|net, ob| net.abort_connection(conn, ob));
-                }
-                // No home connection: the home side already reset
-                // independently (stale notification) — ignore.
-            }
-            XgPayload::ClientDone { session } => {
-                // The business transaction completed in its home world:
-                // tear down this executing world's mirror connection.
-                let s = &mut self.driver.sessions[session as usize];
-                s.inflight = None;
-                if let Some(conn) = s.conn.take() {
-                    self.with_net(|net, ob| {
-                        net.close_connection(conn, dclue_net::types::Side::Opener, ob);
-                        net.close_connection(conn, dclue_net::types::Side::Acceptor, ob);
-                    });
-                }
-            }
-            XgPayload::Versions { writes } => {
-                // Replay a peer group's version-store writes into this
-                // world's replica of the logically-shared store. The
-                // records are re-stamped from this store's clock domain
-                // (per-world logical timestamps are not comparable);
-                // in-flight snapshots opened before this barrier keep
-                // read timestamps below the new stamps, exactly as they
-                // would against writes that committed after them.
-                for (table, row, row_bytes) in writes {
-                    let ts = self.db.next_ts();
-                    self.db.versions.apply_replicated(table, row, row_bytes, ts);
-                }
-                // Overflow-area pressure is handled by the periodic
-                // sampler (same path as local writes).
-            }
-        }
-    }
-
-    /// Stage the connection-reset equivalent for a foreign session
-    /// whose transaction (or request) died on this world's node.
-    pub(crate) fn xg_client_reset(&mut self, session: u32, node: u32) {
-        let Some(home_group) = self.xg_session_group(session) else {
-            return;
-        };
-        self.driver.sessions[session as usize].inflight = None;
-        let (fh, th) = (
-            self.nodes[node as usize].host,
-            self.driver.sessions[session as usize].client_host,
-        );
-        self.xg_stage(
-            fh,
-            th,
-            None,
-            home_group,
-            64,
-            crate::components::fabric::XgPayload::ClientResp { session, ok: false },
-        );
     }
 
     // ------------------------------------------------------------------
@@ -1503,16 +1104,6 @@ impl World {
         for s in kicked {
             if let Some(conn) = self.driver.sessions[s as usize].conn {
                 self.with_net(|net, ob| net.abort_connection(conn, ob));
-            } else if self.driver.sessions[s as usize].inflight.is_some() {
-                // Windowed mode: a shipped-in foreign transaction has no
-                // connection here — its reset rides the cross-group
-                // channel back to the session's home world.
-                let home = self.xg_session_group(s);
-                let my = self.fabric.xg.as_ref().map(|x| x.my_group);
-                if home.is_some() && home != my {
-                    let node = self.driver.sessions[s as usize].node;
-                    self.xg_client_reset(s, node);
-                }
             }
         }
         for n in 0..self.nodes.len() {
@@ -1611,27 +1202,6 @@ impl World {
             .collect();
         for c in idle {
             self.with_net(|net, ob| net.abort_connection(c, ob));
-        }
-        // Windowed mode: shipped-in foreign clients whose request charge
-        // was still pending (no transaction in the map yet) never reach
-        // the remastering freeze above; their reset is staged here and
-        // the pending `StartTxn` becomes a no-op via the alive check.
-        if self.fabric.xg.is_some() {
-            let pending: Vec<u32> = self
-                .driver
-                .sessions
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.node == k as u32 && s.conn.is_none() && s.inflight.is_some())
-                .map(|(i, _)| i as u32)
-                .collect();
-            for s in pending {
-                let home = self.xg_session_group(s);
-                let my = self.fabric.xg.as_ref().map(|x| x.my_group);
-                if home.is_some() && home != my {
-                    self.xg_client_reset(s, k as u32);
-                }
-            }
         }
     }
 

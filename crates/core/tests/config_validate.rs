@@ -143,36 +143,6 @@ fn rejects_read_leases_without_mvcc() {
 }
 
 #[test]
-fn rejects_intra_jobs_above_nodes() {
-    let e = err_for(|c| {
-        c.nodes = 4;
-        c.intra_jobs = 8;
-    });
-    assert!(e.contains("intra_jobs"), "{e}");
-    assert!(e.contains("nodes"), "{e}");
-}
-
-#[test]
-fn rejects_windowed_run_on_oversized_cluster() {
-    // Windowed transaction ids carry the executing node in their low
-    // 16 bits, so the windowed engine caps the cluster at 65536 nodes.
-    let e = err_for(|c| {
-        c.nodes = 70_000;
-        c.intra_jobs = 2;
-    });
-    assert!(e.contains("65536"), "{e}");
-    // A formerly-oversized cluster now validates windowed…
-    let mut cfg = ClusterConfig::default();
-    cfg.nodes = 300;
-    cfg.intra_jobs = 2;
-    assert_eq!(cfg.validate(), Ok(()));
-    // …and any node count is fine serially.
-    let mut cfg = ClusterConfig::default();
-    cfg.nodes = 70_000;
-    assert_eq!(cfg.validate(), Ok(()));
-}
-
-#[test]
 fn rejects_zero_client_pool() {
     let e = err_for(|c| c.client_conns_per_node = 0);
     assert!(e.contains("client_conns_per_node"), "{e}");
@@ -190,18 +160,6 @@ fn rejects_chaos_reset_under_aggregate_clients() {
     let mut cfg = ClusterConfig::default();
     cfg.client_model = ClientModel::Aggregate;
     assert_eq!(cfg.validate(), Ok(()));
-}
-
-#[test]
-fn accepts_windowed_group_counts() {
-    // …and any group count up to the node count is fine windowed.
-    for intra in [0u32, 1, 2, 4, 16] {
-        let mut cfg = ClusterConfig::default();
-        cfg.nodes = 16;
-        cfg.affinity = 0.8;
-        cfg.intra_jobs = intra;
-        assert_eq!(cfg.validate(), Ok(()), "intra_jobs={intra}");
-    }
 }
 
 fn hier(nodes: u32, nodes_per_edge: u32) -> ClusterConfig {
@@ -284,15 +242,4 @@ fn paper_shape_ignores_hierarchical_knobs() {
     cfg.nodes_per_edge = 7; // would be a partial rack if it counted
     cfg.uplinks = 0;
     assert_eq!(cfg.validate(), Ok(()));
-}
-
-#[test]
-fn rejects_chaos_reset_under_windowed_execution() {
-    let e = err_for(|c| {
-        c.exact = true;
-        c.nodes = 4;
-        c.intra_jobs = 2;
-        c.chaos_ipc_reset_at = Some(Duration::from_secs(5));
-    });
-    assert!(e.contains("intra_jobs"), "{e}");
 }

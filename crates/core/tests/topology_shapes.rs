@@ -1,13 +1,13 @@
 //! Per-shape topology pins (DESIGN.md §15): the id layout the `Paper`
 //! shape compiles to (the bit-identity contract with the golden
 //! captures), hierarchical placement/path facts end to end through a
-//! run, and the n = 64 acceptance runs under both the aggregate client
-//! model and the windowed engine.
+//! run, and the n = 64 acceptance run under the aggregate client
+//! model.
 
 #![allow(clippy::field_reassign_with_default)] // config-mutation is the intended API pattern
 
 use dclue_cluster::config::ClientModel;
-use dclue_cluster::{run_windowed, ClusterConfig, FabricShape, Topology, World};
+use dclue_cluster::{ClusterConfig, FabricShape, Topology, World};
 use dclue_net::DeviceId;
 use dclue_sim::Duration;
 
@@ -72,7 +72,7 @@ fn hier64(clients_per_node: u32) -> ClusterConfig {
     cfg
 }
 
-/// Acceptance run 1: hierarchical n = 64 completes under the aggregate
+/// Acceptance run: hierarchical n = 64 completes under the aggregate
 /// client model, and the report carries the new per-tier fabric stats.
 #[test]
 fn hierarchical_n64_runs_under_aggregate_clients() {
@@ -94,20 +94,6 @@ fn hierarchical_n64_runs_under_aggregate_clients() {
     let total = r.trunk_mbps_edge + r.trunk_mbps_agg;
     assert!((r.trunk_mbps - total).abs() < 1e-9);
     assert!(r.trunk_utilization > 0.0 && r.trunk_utilization <= 1.0);
-}
-
-/// Acceptance run 2: the same fabric completes under the windowed
-/// engine, with groups rack-aligned across the 8 racks.
-#[test]
-fn hierarchical_n64_runs_windowed_and_rack_aligned() {
-    let mut cfg = hier64(2);
-    cfg.intra_jobs = 2;
-    cfg.validate().expect("valid windowed hierarchical n=64");
-    let (r, stats) = run_windowed(&cfg);
-    assert!(r.committed > 0, "no work committed");
-    assert_eq!(r.max_path_hops, 6);
-    assert!(stats.rack_aligned, "8 racks over 2 groups must align");
-    assert!(stats.windows > 0);
 }
 
 /// The placement map a run exposes matches the declarative shape:

@@ -59,11 +59,6 @@ pub struct VersionStore {
     capacity_bytes: u64,
     used_bytes: u64,
     pub stats: MvccStats,
-    /// When enabled (partitioned-execution engines), every local write
-    /// is also recorded here so the peers holding the other partitions
-    /// of the logically-global store can replay it; `None` (the
-    /// default) costs nothing.
-    repl_log: Option<Vec<(u32, u64, u64)>>,
 }
 
 impl VersionStore {
@@ -73,31 +68,7 @@ impl VersionStore {
             capacity_bytes,
             used_bytes: 0,
             stats: MvccStats::default(),
-            repl_log: None,
         }
-    }
-
-    /// Start logging local writes for replication to peer stores.
-    pub fn enable_replication(&mut self) {
-        self.repl_log = Some(Vec::new());
-    }
-
-    /// Drain the pending replication records: `(table, row, row_bytes)`
-    /// in write order. Empty when replication is not enabled.
-    pub fn take_repl_log(&mut self) -> Vec<(u32, u64, u64)> {
-        match &mut self.repl_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Replay a peer store's write. Identical to [`Self::write`] except
-    /// it is never re-logged for replication (no echo loops); the
-    /// caller supplies a timestamp from *this* store's clock domain.
-    pub fn apply_replicated(&mut self, table: u32, row: u64, row_bytes: u64, ts: u64) {
-        let log = self.repl_log.take();
-        self.write(table, row, row_bytes, ts);
-        self.repl_log = log;
     }
 
     pub fn used_bytes(&self) -> u64 {
@@ -135,9 +106,6 @@ impl VersionStore {
         chain.versions.push(ts);
         self.used_bytes += row_bytes;
         self.stats.versions_created += 1;
-        if let Some(log) = &mut self.repl_log {
-            log.push((table, row, row_bytes));
-        }
         self.pressure()
     }
 

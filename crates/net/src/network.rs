@@ -674,56 +674,6 @@ impl Network {
         self.host_ports[host.0 as usize].link
     }
 
-    /// Analytic one-way latency profile for a message of `wire_bytes`
-    /// total on-the-wire bytes carried in `packets` frames from `from`
-    /// to `to`, assuming idle queues: serialization on every link plus
-    /// propagation plus per-frame router service at every hop. Returns
-    /// `(uplink_tx, rest)` — the first-hop serialization separated out
-    /// so a caller can model NIC back-to-back serialization (messages
-    /// from one host share its uplink) while treating the rest of the
-    /// path as contention-free. `None` if the fabric has no route.
-    ///
-    /// This is the windowed engine's cross-group delivery model
-    /// (DESIGN.md §13): a lower bound on real delivery, and the basis of
-    /// the conservative lookahead window.
-    pub fn path_profile(
-        &self,
-        from: HostId,
-        to: HostId,
-        wire_bytes: u64,
-        packets: u64,
-    ) -> Option<(dclue_sim::Duration, dclue_sim::Duration)> {
-        if from == to {
-            return Some((dclue_sim::Duration::ZERO, dclue_sim::Duration::ZERO));
-        }
-        let hp = self.host_ports[from.0 as usize];
-        let first = &self.links[hp.link.0 as usize];
-        let uplink_tx = first.tx_time(wire_bytes);
-        let mut rest = first.propagation;
-        let mut device = first.far(hp.forward);
-        // Hop cap well above any route in the lata topologies; a loop
-        // here would mean a routing-table bug.
-        for _ in 0..32 {
-            match device {
-                DeviceId::Host(h) => {
-                    return if h == to {
-                        Some((uplink_tx, rest))
-                    } else {
-                        None
-                    };
-                }
-                DeviceId::Router(r) => {
-                    let router = &self.routers[r as usize];
-                    let (link, forward) = router.routes.get(to)?;
-                    let l = &self.links[link.0 as usize];
-                    rest = rest + router.service * packets + l.tx_time(wire_bytes) + l.propagation;
-                    device = l.far(forward);
-                }
-            }
-        }
-        None
-    }
-
     /// Number of links a frame from `from` traverses to reach `to`,
     /// following the same static BFS routes the packet engine uses.
     /// `Some(0)` when `from == to`; `None` when the fabric has no

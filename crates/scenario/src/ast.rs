@@ -193,7 +193,6 @@ pub const KEYS: &[KeySpec] = &[
     k(Section::Engine, "measure", Ty::Dur, false),
     k(Section::Engine, "seeds", Ty::U64, false),
     k(Section::Engine, "jobs", Ty::U64, false),
-    k(Section::Engine, "intra_jobs", Ty::U32, false),
     // [topology] — cluster shape, fabric and data scale.
     k(Section::Topology, "nodes", Ty::U32, true),
     k(Section::Topology, "latas", Ty::U32, true),
@@ -255,7 +254,6 @@ pub fn key_spec(key: &str) -> Option<&'static KeySpec> {
 pub fn apply(cfg: &mut ClusterConfig, key: &str, v: &Value) {
     match (key, v) {
         ("exact", Value::Bool(b)) => cfg.exact = *b,
-        ("intra_jobs", Value::U32(n)) => cfg.intra_jobs = *n,
         ("warmup", Value::Dur(d)) => cfg.warmup = *d,
         ("measure", Value::Dur(d)) => cfg.measure = *d,
         ("nodes", Value::U32(n)) => cfg.nodes = *n,

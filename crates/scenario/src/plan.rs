@@ -122,13 +122,9 @@ pub fn compile(scenario: &Scenario) -> Result<Plan, String> {
     })
 }
 
-/// The base config probed at a given cluster size (knee mode). The
-/// knee search owns the nodes axis, so the windowed group count
-/// follows it down: a probe smaller than `intra_jobs` runs with one
-/// group per node rather than failing validation mid-search.
+/// The base config probed at a given cluster size (knee mode).
 pub fn cfg_at_nodes(base: &ClusterConfig, nodes: u32) -> ClusterConfig {
     let mut cfg = base.clone();
     cfg.nodes = nodes;
-    cfg.intra_jobs = cfg.intra_jobs.min(nodes);
     cfg
 }

@@ -368,35 +368,36 @@ fn error_display_carries_the_line_number() {
     assert!(e.to_string().starts_with("line 3: "), "{e}");
 }
 
+// `intra_jobs` selected the removed windowed engine. A scenario file
+// that still sets it must fail at the offending line, in any form and
+// any section, rather than run silently on the serial engine.
+
 #[test]
 fn rejects_intra_jobs_sweep_list() {
-    // The windowed group count shapes the engine, not the experiment
-    // grid — sweeping it would mix execution strategies in one table.
     let (l, m) = err(&with_header("[engine]\nintra_jobs = [2, 4]\n"));
     assert_eq!(l, 3);
-    assert!(m.contains("cannot be a sweep axis"), "{m}");
+    assert!(m.contains("unknown key 'intra_jobs' in [engine]"), "{m}");
 }
 
 #[test]
 fn rejects_intra_jobs_outside_engine_section() {
     let (l, m) = err(&with_header("[topology]\nintra_jobs = 2\n"));
     assert_eq!(l, 3);
-    assert!(m.contains("belongs in [engine]"), "{m}");
+    assert!(m.contains("unknown key 'intra_jobs' in [topology]"), "{m}");
 }
 
 #[test]
 fn rejects_non_integer_intra_jobs() {
     let (l, m) = err(&with_header("[engine]\nintra_jobs = fast\n"));
     assert_eq!(l, 3);
-    assert!(m.contains("not a non-negative integer"), "{m}");
+    assert!(m.contains("unknown key 'intra_jobs' in [engine]"), "{m}");
 }
 
 #[test]
 fn compile_rejects_intra_jobs_above_nodes() {
-    // Parses fine; the config validator catches it at compile() with
-    // the scenario name attached.
-    let sc = parse("scenario = t\n[engine]\nintra_jobs = 8\n[topology]\nnodes = 4\n").unwrap();
-    let e = dclue_scenario::compile(&sc).unwrap_err();
-    assert!(e.contains("intra_jobs"), "{e}");
-    assert!(e.contains("scenario 't'"), "{e}");
+    // The parser already refuses the key, so no such scenario can reach
+    // compile(); the error names the line and the key.
+    let e = parse("scenario = t\n[engine]\nintra_jobs = 8\n[topology]\nnodes = 4\n").unwrap_err();
+    assert_eq!(e.line, 3);
+    assert!(e.msg.contains("unknown key 'intra_jobs'"), "{e}");
 }

@@ -31,7 +31,6 @@ warmup = 1500ms
 measure = 40s
 seeds = 3
 jobs = 2
-intra_jobs = 2
 
 [topology]
 nodes = [2, 4, 8]
@@ -93,30 +92,6 @@ listen = 127.0.0.1:7070
     assert_eq!(sc.axes().count(), 3);
     assert_eq!(sc.faults.len(), 6);
     assert_eq!(sc.listen.as_deref(), Some("127.0.0.1:7070"));
-}
-
-#[test]
-fn intra_jobs_lands_in_the_base_config() {
-    // `intra_jobs` is a real ClusterConfig field (unlike `seeds`/`jobs`,
-    // which are harness-level), so compile() must apply it to the base
-    // and every grid point inherits it.
-    let sc = roundtrip(
-        r#"
-scenario = windowed-grid
-description = windowed engine through the DSL
-
-[engine]
-exact = true
-intra_jobs = 2
-
-[topology]
-nodes = [4, 8]
-affinity = 0.8
-"#,
-    );
-    let plan = dclue_scenario::compile(&sc).expect("compiles");
-    assert_eq!(plan.base.intra_jobs, 2);
-    assert!(plan.points.iter().all(|p| p.cfg.intra_jobs == 2));
 }
 
 #[test]

@@ -266,64 +266,6 @@ impl<E> EventHeap<E> {
         }
     }
 
-    /// Remove and return the earliest event whose time is strictly before
-    /// `limit`, or `None` — without advancing the queue's "now" — when the
-    /// head is at or past `limit` (or the queue is empty).
-    ///
-    /// This is the windowed engine's inner loop: each group pops its own
-    /// queue with `limit` set to the end of the current time window, then
-    /// meets the other groups at a barrier. The wheel is flushed through
-    /// the limit's slot up front, so every parked timer that *could* fire
-    /// inside the window is heap-resident before the head comparison —
-    /// after the first call of a window the flush loop exits immediately
-    /// and each call costs two O(1) peeks.
-    ///
-    /// Flushing ahead of the head event means a timer armed *after* this
-    /// call into an already-flushed slot bypasses the wheel and can no
-    /// longer be cancelled (it fires dead) — exactly the pre-wheel
-    /// engine's behavior, and deterministic.
-    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        if self.timers_live > 0 {
-            let lslot = limit.0 >> L0_SHIFT;
-            while self.timers_live > 0 && self.wheel_pos <= lslot {
-                self.flush_slot();
-            }
-        }
-        let take_heap = match (self.heap.peek(), self.immediate.front()) {
-            (None, None) => return None,
-            (Some(h), None) => {
-                if h.time >= limit {
-                    return None;
-                }
-                true
-            }
-            (None, Some(&(t, _, _))) => {
-                if t >= limit {
-                    return None;
-                }
-                false
-            }
-            (Some(h), Some(&(itime, iseq, _))) => {
-                if h.time >= limit && itime >= limit {
-                    return None;
-                }
-                h.time < itime || (h.time == itime && h.seq < iseq)
-            }
-        };
-        self.popped += 1;
-        if take_heap {
-            let e = self.heap.pop().unwrap();
-            let payload = self.slots[e.slot as usize].take().unwrap();
-            self.free.push(e.slot);
-            self.cur = e.time;
-            Some((e.time, payload))
-        } else {
-            let (t, _, payload) = self.immediate.pop_front().unwrap();
-            self.cur = t;
-            Some((t, payload))
-        }
-    }
-
     // ---- timer wheel ----
 
     /// Arm (or re-arm) the single-shot timer identified by `key` to fire
@@ -606,90 +548,6 @@ mod tests {
         assert_eq!(q.total_popped(), 1);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    // ---- pop_until (windowed execution) tests ----
-
-    #[test]
-    fn pop_until_stops_strictly_before_limit() {
-        let mut q = EventHeap::new();
-        q.push(SimTime(10), "a");
-        q.push(SimTime(20), "b");
-        q.push(SimTime(30), "c");
-        assert_eq!(q.pop_until(SimTime(20)), Some((SimTime(10), "a")));
-        // 20 is *at* the limit: excluded, and "now" stays at 10.
-        assert_eq!(q.pop_until(SimTime(20)), None);
-        assert_eq!(q.current_time(), SimTime(10));
-        // Widening the window resumes exactly where pop would.
-        assert_eq!(q.pop_until(SimTime(31)), Some((SimTime(20), "b")));
-        assert_eq!(q.pop_until(SimTime(31)), Some((SimTime(30), "c")));
-        assert_eq!(q.pop_until(SimTime(31)), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_until_preserves_same_time_fifo_across_bucket_and_heap() {
-        let mut q = EventHeap::new();
-        q.push(SimTime(10), 0);
-        assert_eq!(q.pop_until(SimTime(11)), Some((SimTime(10), 0)));
-        // cur == 10: bucket entries, plus a heap entry at the same time.
-        q.push(SimTime(10), 1);
-        q.push(SimTime(12), 2);
-        q.push(SimTime(10), 3);
-        assert_eq!(q.pop_until(SimTime(11)), Some((SimTime(10), 1)));
-        assert_eq!(q.pop_until(SimTime(11)), Some((SimTime(10), 3)));
-        assert_eq!(q.pop_until(SimTime(11)), None);
-        assert_eq!(q.pop_until(SimTime(13)), Some((SimTime(12), 2)));
-    }
-
-    #[test]
-    fn pop_until_cascades_timers_due_inside_the_window() {
-        const G: u64 = 1 << 20;
-        let mut q = EventHeap::new();
-        q.arm_timer(1, SimTime(2 * G + 5), "in-window");
-        q.arm_timer(2, SimTime(50 * G), "beyond");
-        // No queued events before the timer; the wheel must be flushed
-        // through the limit's slot or the timer would be invisible.
-        assert_eq!(
-            q.pop_until(SimTime(10 * G)),
-            Some((SimTime(2 * G + 5), "in-window"))
-        );
-        assert_eq!(q.pop_until(SimTime(10 * G)), None);
-        // The later timer is still wheel-resident and cancellable.
-        q.cancel_timer(2);
-        assert_eq!(q.pop_until(SimTime(100 * G)), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_until_matches_pop_stream_for_a_full_drain() {
-        // Draining via fixed-width windows must yield the exact pop()
-        // stream of a twin queue.
-        let mut rng = crate::SimRng::new(0x77AB);
-        let mut a = EventHeap::new();
-        let mut b = EventHeap::new();
-        for _ in 0..2_000 {
-            let t = SimTime(rng.uniform(0, 5_000_000));
-            let id = rng.uniform(0, u64::MAX);
-            a.push(t, id);
-            b.push(t, id);
-        }
-        let mut window_end = SimTime(250_000);
-        let mut got = Vec::new();
-        loop {
-            while let Some(ev) = a.pop_until(window_end) {
-                got.push(ev);
-            }
-            if a.is_empty() {
-                break;
-            }
-            window_end += Duration::from_nanos(250_000);
-        }
-        let mut want = Vec::new();
-        while let Some(ev) = b.pop() {
-            want.push(ev);
-        }
-        assert_eq!(got, want);
     }
 
     // ---- fast-path micro-tests ----

@@ -93,69 +93,6 @@ where
     })
 }
 
-/// A reusable spin barrier for tightly-coupled phase loops.
-///
-/// The windowed intra-run engine synchronizes its group threads tens of
-/// thousands of times per simulated run — two rendezvous per ~1 ms
-/// window. `std::sync::Barrier` parks threads in the kernel on every
-/// wait, which costs more than an entire window's worth of event
-/// processing; this barrier spins on a generation counter instead
-/// (with `spin_loop` hints), making a rendezvous of a handful of
-/// threads a sub-microsecond affair. Spinning is the right trade here
-/// because every participant arrives within microseconds of the others
-/// by construction; this is not a general-purpose barrier.
-///
-/// After a bounded number of spins the waiter downgrades to
-/// `yield_now`: when the host is oversubscribed (fewer cores than
-/// groups — CI runners, laptops on battery), a peer may not even be
-/// *running*, and burning the rest of a scheduling quantum on its
-/// behalf turns each rendezvous into milliseconds. Yielding hands the
-/// core straight to the laggard instead, degrading gracefully to
-/// context-switch cost while leaving the uncontended fast path pure
-/// spin.
-pub struct SpinBarrier {
-    parties: usize,
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    pub fn new(parties: usize) -> Self {
-        assert!(parties >= 1);
-        SpinBarrier {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    /// Block (spinning) until all `parties` threads have called `wait`.
-    /// Returns `true` on exactly one thread per rendezvous (the last
-    /// arriver — the designated leader for any serial merge step).
-    pub fn wait(&self) -> bool {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) == self.parties - 1 {
-            // Last arriver: reset the count, then release the others by
-            // advancing the generation.
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-            true
-        } else {
-            let mut spins: u32 = 0;
-            while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins < 1 << 12 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,43 +139,5 @@ mod tests {
         assert!(resolve_jobs(None) >= 1);
         // Zero is not a valid worker count; falls through.
         assert!(resolve_jobs(Some(0)) >= 1);
-    }
-
-    #[test]
-    fn spin_barrier_synchronizes_phases() {
-        use std::sync::atomic::AtomicU64;
-        const THREADS: usize = 4;
-        const ROUNDS: usize = 1_000;
-        let barrier = SpinBarrier::new(THREADS);
-        let counter = AtomicU64::new(0);
-        let leaders = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| {
-                    for round in 0..ROUNDS {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        if barrier.wait() {
-                            leaders.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Every thread must observe all increments of
-                        // this round before any thread starts the next.
-                        let seen = counter.load(Ordering::Relaxed);
-                        assert!(seen >= ((round + 1) * THREADS) as u64);
-                        assert!(seen <= ((round + 2) * THREADS) as u64);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), (THREADS * ROUNDS) as u64);
-        // Exactly one leader per rendezvous, two rendezvous per round.
-        assert_eq!(leaders.load(Ordering::Relaxed), ROUNDS as u64);
-    }
-
-    #[test]
-    fn spin_barrier_single_party_is_always_leader() {
-        let b = SpinBarrier::new(1);
-        assert!(b.wait());
-        assert!(b.wait());
     }
 }

@@ -67,27 +67,6 @@ impl Tally {
         self.max = self.max.max(x);
     }
 
-    /// Fold another tally into this one — the parallel Welford combine.
-    /// The result holds the same moments one tally would after recording
-    /// both sample streams (up to floating-point association order).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let delta = other.mean - self.mean;
-        self.mean += delta * nb / (na + nb);
-        self.m2 += other.m2 + delta * delta * na * nb / (na + nb);
-        self.n += other.n;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Record a duration in seconds.
     pub fn record_duration(&mut self, d: Duration) {
         self.record(d.as_secs_f64());
@@ -279,11 +258,6 @@ impl Histogram {
 /// so quantile estimates are within that factor of the true value.
 /// Out-of-range samples saturate into the edge buckets (their count is
 /// still exact; only their position is clamped).
-///
-/// Two histograms with identical shape can be [`merged`](Self::merge),
-/// which is exact: the merged quantiles are those of the combined
-/// sample stream. This is what lets per-node or per-run collectors be
-/// combined without keeping raw samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     lo: f64,
@@ -373,20 +347,6 @@ impl LogHistogram {
         self.edge(self.buckets.len())
     }
 
-    /// Merge another histogram of identical shape into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(self.buckets.len(), other.buckets.len(), "bucket count");
-        assert!(
-            (self.lo - other.lo).abs() < 1e-12 && (self.ln_ratio - other.ln_ratio).abs() < 1e-15,
-            "histogram shapes differ"
-        );
-        for (a, &b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.n += other.n;
-        self.sum += other.sum;
-    }
-
     pub fn reset(&mut self) {
         self.buckets.iter_mut().for_each(|b| *b = 0);
         self.n = 0;
@@ -427,35 +387,6 @@ mod tests {
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.min(), 0.0);
         assert_eq!(t.max(), 0.0);
-    }
-
-    #[test]
-    fn tally_merge_matches_single_stream() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, 1.5, 11.25];
-        let mut whole = Tally::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let (left, right) = xs.split_at(4);
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        left.iter().for_each(|&x| a.record(x));
-        right.iter().for_each(|&x| b.record(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        assert!((a.sum() - whole.sum()).abs() < 1e-12);
-        // Merging an empty tally is the identity in both directions.
-        let before = a.clone();
-        a.merge(&Tally::new());
-        assert_eq!(a.count(), before.count());
-        let mut empty = Tally::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), before.count());
-        assert!((empty.mean() - before.mean()).abs() < 1e-12);
     }
 
     #[test]
@@ -532,27 +463,6 @@ mod tests {
         let r0 = h.edge(1) / h.edge(0);
         let r1 = h.edge(31) / h.edge(30);
         assert!((r0 - r1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_histogram_merge_is_exact() {
-        let mut a = LogHistogram::new(1e-4, 10.0, 200);
-        let mut b = LogHistogram::new(1e-4, 10.0, 200);
-        let mut all = LogHistogram::new(1e-4, 10.0, 200);
-        for i in 1..500 {
-            let x = i as f64 * 1e-3;
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-            all.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-        for q in [0.25, 0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile(q), all.quantile(q));
-        }
     }
 
     #[test]
@@ -719,28 +629,6 @@ mod tests {
             );
             last = est;
         }
-    }
-
-    #[test]
-    fn log_histogram_merge_equals_combined_stream() {
-        let mut rng = crate::SimRng::new(99);
-        let mut a = LogHistogram::new(1e-3, 10.0, 60);
-        let mut b = LogHistogram::new(1e-3, 10.0, 60);
-        let mut all = LogHistogram::new(1e-3, 10.0, 60);
-        for i in 0..2000 {
-            let x = 1e-3 * 10f64.powf(rng.unit() * 4.0);
-            if i % 2 == 0 {
-                a.record(x)
-            } else {
-                b.record(x)
-            }
-            all.record(x);
-        }
-        a.merge(&b);
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile(q).to_bits(), all.quantile(q).to_bits());
-        }
-        assert_eq!(a.count(), all.count());
     }
 
     #[test]

@@ -65,21 +65,6 @@ pub fn clear() {
     REG.with(|r| r.borrow_mut().clear());
 }
 
-/// Merge a snapshot taken on *another* thread into this thread's
-/// registry (the registry is thread-local, so parallel engines capture
-/// a snapshot per worker at join and fold them in here). High-water
-/// marks — names ending in `_max` — combine by maximum; every other
-/// entry adds, which turns per-worker gauges into cluster-wide totals.
-pub fn absorb(snap: Vec<(&'static str, f64)>) {
-    for (name, v) in snap {
-        if name.ends_with("_max") {
-            gauge_max(name, v);
-        } else {
-            counter_add(name, v);
-        }
-    }
-}
-
 /// Publish a gauge: `metric_gauge!("net.queue_depth", depth)`.
 /// Compiles to nothing when [`crate::ENABLED`] is `false`.
 #[macro_export]
@@ -134,27 +119,6 @@ mod tests {
         );
         clear();
         assert!(snapshot().is_empty());
-        set_enabled(false);
-    }
-
-    #[test]
-    fn absorb_merges_foreign_snapshots() {
-        set_enabled(true);
-        clear();
-        counter_add("w.count", 2.0);
-        gauge_max("w.depth_max", 4.0);
-        // A worker thread's snapshot: counters add, maxes combine.
-        absorb(vec![
-            ("w.count", 3.0),
-            ("w.depth_max", 9.0),
-            ("w.other", 1.0),
-        ]);
-        absorb(vec![("w.depth_max", 5.0)]);
-        assert_eq!(
-            snapshot(),
-            vec![("w.count", 5.0), ("w.depth_max", 9.0), ("w.other", 1.0)]
-        );
-        clear();
         set_enabled(false);
     }
 

@@ -251,8 +251,7 @@ pub fn node_warehouse_span(node: u32, nodes: u32, warehouses: u32) -> (u32, u32)
 /// How many of `total_sessions` closed-loop terminals are homed on
 /// `node`: the exact count of sessions `i` whose evenly-spread home
 /// warehouse `floor(i*W/S) + 1` falls in `node`'s block. Closed form,
-/// so a million-terminal population costs nothing to place and every
-/// windowed group world agrees without enumerating sessions. The
+/// so a million-terminal population costs nothing to place. The
 /// per-node counts telescope to exactly `total_sessions`.
 pub fn node_population(node: u32, nodes: u32, warehouses: u32, total_sessions: u64) -> u64 {
     let (w_lo, w_hi) = node_warehouse_span(node, nodes, warehouses);

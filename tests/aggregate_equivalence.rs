@@ -10,8 +10,7 @@
 //! `client_conns_per_node` long-lived connections with a FIFO admission
 //! queue whose wait is folded into measured response time (see
 //! DESIGN.md §14). The contract is therefore *statistical* — the same
-//! ladder the windowed engine and the segment-train fast path are held
-//! to: over the harness seed ladder, an aggregate run must reproduce
+//! ladder the segment-train fast path is held to: over the harness seed ladder, an aggregate run must reproduce
 //! the exact driver's steady-state throughput, latency and abort
 //! behaviour at matched populations.
 //!
@@ -24,7 +23,7 @@
 #![allow(clippy::field_reassign_with_default)] // config-mutation is the intended API pattern
 
 use dclue_cluster::config::ClientModel;
-use dclue_cluster::{run_one, sweep, ClusterConfig, World};
+use dclue_cluster::{sweep, ClusterConfig, World};
 use dclue_fault::FaultPlan;
 use dclue_sim::Duration;
 
@@ -53,7 +52,7 @@ fn run_ladder(base: &ClusterConfig, model: ClientModel) -> Summary {
         let mut cfg = base.clone();
         cfg.seed = sweep::seed_for(s);
         cfg.client_model = model;
-        let r = run_one(cfg);
+        let r = World::new(cfg).run();
         acc.tpmc += r.tpmc_scaled;
         acc.latency_ms += r.txn_latency_ms;
         acc.p95_ms += r.txn_latency_p95_ms;
@@ -161,7 +160,7 @@ fn aggregate_matches_exact_under_node_crash() {
     // availability analysis.
     let mut probe = cfg.clone();
     probe.client_model = ClientModel::Aggregate;
-    let r = run_one(probe);
+    let r = World::new(probe).run();
     assert!(r.fault_events_applied >= 2, "fault plan did not fire");
     assert!(r.availability.is_some(), "availability analysis missing");
 }

@@ -66,57 +66,6 @@ fn seed_averaging_is_jobs_invariant() {
     assert_eq!(by_hand, pooled);
 }
 
-// ---------------------------------------------------------------------
-// Windowed intra-run engine (conservative time-windowed groups)
-// ---------------------------------------------------------------------
-
-#[test]
-fn intra_jobs_one_is_the_untouched_serial_engine() {
-    // The dispatch gate, not an equivalence claim: `intra_jobs <= 1`
-    // must take the exact serial path, bit for bit.
-    let serial = World::new(short_cfg(4, 0.8)).run();
-    for intra in [0u32, 1] {
-        let mut cfg = short_cfg(4, 0.8);
-        cfg.intra_jobs = intra;
-        assert_eq!(
-            serial,
-            dclue_cluster::run_one(cfg),
-            "intra_jobs={intra} must be the serial engine"
-        );
-    }
-}
-
-#[test]
-fn windowed_repeat_runs_are_bit_identical() {
-    // With a fixed group count, the deterministic barrier merge makes
-    // the windowed engine a pure function of its config too.
-    for groups in [2u32, 4] {
-        let mut cfg = short_cfg(4, 0.8);
-        cfg.intra_jobs = groups;
-        let a = dclue_cluster::run_one(cfg.clone());
-        let b = dclue_cluster::run_one(cfg);
-        assert_eq!(a, b, "groups={groups} not reproducible");
-    }
-}
-
-#[test]
-fn windowed_points_survive_the_sweep_pool() {
-    // Windowed single-run parallelism composes with sweep-level
-    // parallelism: the same bag through different pool widths is
-    // bit-identical (each windowed point is itself deterministic).
-    let bag: Vec<ClusterConfig> = [1u32, 2]
-        .into_iter()
-        .map(|intra| {
-            let mut c = short_cfg(2, 0.8);
-            c.intra_jobs = intra;
-            c
-        })
-        .collect();
-    let serial = sweep::run_many(1, bag.clone());
-    let pooled = sweep::run_many(2, bag);
-    assert_eq!(serial, pooled);
-}
-
 #[test]
 fn fault_transients_survive_the_pool() {
     // Availability analysis is derived from the committed-transaction
