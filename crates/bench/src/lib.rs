@@ -4,8 +4,6 @@
 //! (the environment is fully offline, so Criterion is not available;
 //! the runner keeps the same "name + ns/iter" reporting shape).
 
-pub mod grids;
-
 use std::time::{Duration, Instant};
 
 /// Minimal wall-clock benchmark runner.

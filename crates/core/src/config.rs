@@ -41,10 +41,9 @@ pub enum QosPolicy {
 /// How client terminals are simulated (DESIGN.md §14).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ClientModel {
-    /// One [`crate::components::driver::ClientSession`] per terminal,
-    /// each with its own think timer and per-business-transaction TCP
-    /// connection — the literal closed-loop model, bit-identical to
-    /// every golden capture.
+    /// One client session per terminal, each with its own think timer
+    /// and per-business-transaction TCP connection — the literal
+    /// closed-loop model, bit-identical to every golden capture.
     #[default]
     Exact,
     /// Aggregate terminal populations: per node, the N exponential
@@ -418,10 +417,8 @@ impl ClusterConfig {
     pub fn effective_edge_switches(&self) -> u32 {
         if self.edge_switches > 0 {
             self.edge_switches
-        } else if self.nodes_per_edge > 0 {
-            self.nodes / self.nodes_per_edge
         } else {
-            0
+            self.nodes.checked_div(self.nodes_per_edge).unwrap_or(0)
         }
     }
 

@@ -150,7 +150,8 @@ pub struct Report {
     pub trunk_mbps_agg: f64,
     pub trunk_utilization_agg: f64,
     /// Worst-case node→node path depth in links over the built BFS
-    /// routes (2 one-switch, up to 6 across aggregation tiers).
+    /// routes (2 one-switch, up to 6 across aggregation tiers). A
+    /// seed-averaged report carries seed 0's value.
     pub max_path_hops: u32,
     /// FTP goodput delivered during the window, scaled Mb/s.
     pub ftp_mbps: f64,
@@ -169,34 +170,14 @@ pub struct Report {
     /// Frames discarded by injected link/port faults over the whole run.
     pub fault_drops: u64,
     /// Availability analysis of the throughput timeline against the
-    /// fault plan's windows; `None` when the plan is empty.
+    /// fault plan's windows; `None` when the plan is empty. A
+    /// seed-averaged report carries seed 0's analysis.
     pub availability: Option<dclue_fault::Availability>,
     /// Half-second samples of `(time_s, committed so far, mean live
     /// threads per node)` across the whole run (including warm-up) —
-    /// lets callers study transients like thrash onset.
+    /// lets callers study transients like thrash onset. A seed-averaged
+    /// report carries seed 0's timeline.
     pub timeline: Vec<(f64, u64, f64)>,
-}
-
-impl Report {
-    /// One-line summary for harness output.
-    pub fn summary(&self) -> String {
-        format!(
-            "n={:<2} α={:.2} tpmC={:>7.0} (≡{:>9.0}) ctl/txn={:>5.1} data/txn={:>4.2} lockwait/txn={:>5.2} wait={:>6.1}ms cpi={:>4.2} cs={:>6.0} thr={:>5.1} util={:>4.2} hit={:>4.2}",
-            self.nodes,
-            self.affinity,
-            self.tpmc_scaled,
-            self.tpmc_equivalent,
-            self.ctl_msgs_per_txn,
-            self.data_msgs_per_txn,
-            self.lock_waits_per_txn,
-            self.lock_wait_ms,
-            self.avg_cpi,
-            self.avg_cs_cycles,
-            self.avg_live_threads,
-            self.cpu_util,
-            self.buffer_hit_ratio,
-        )
-    }
 }
 
 #[cfg(test)]

@@ -50,45 +50,41 @@ pub fn run_avg_many(jobs: usize, cfgs: &[ClusterConfig], seeds: u64) -> Vec<Repo
     reports.chunks(seeds).map(average).collect()
 }
 
-/// Average the numeric series the figures print across one config's
-/// seed runs. With a single report this is an exact pass-through
-/// (including counters and timeline); with several, the non-averaged
-/// fields are taken from the first seed, matching the legacy harness.
+/// Average one config's seed runs: every `f64` series is the mean, and
+/// every `u64` counter the integer mean rounded to nearest. The config
+/// echoes (`nodes`, `affinity`, `window_s`), `max_path_hops` (a property
+/// of the built fabric), `availability` and `timeline` are seed 0's.
+/// With a single report this is an exact pass-through.
 pub fn average(reports: &[Report]) -> Report {
     assert!(!reports.is_empty(), "cannot average zero reports");
     let mut r = reports[0].clone();
     if reports.len() == 1 {
         return r;
     }
-    let n = reports.len() as f64;
+    let n = reports.len();
     macro_rules! avg {
         ($($f:ident),*) => {
-            $( r.$f = reports.iter().map(|x| x.$f).sum::<f64>() / n; )*
+            $( r.$f = reports.iter().map(|x| x.$f).sum::<f64>() / n as f64; )*
         };
     }
-    avg!(
-        tpmc_scaled,
-        tpmc_equivalent,
-        tps_scaled,
-        ctl_msgs_per_txn,
-        data_msgs_per_txn,
-        storage_msgs_per_txn,
-        lock_waits_per_txn,
-        lock_busies_per_txn,
-        lock_wait_ms,
-        txn_latency_ms,
-        avg_cpi,
-        avg_cs_cycles,
-        avg_live_threads,
-        cpu_util,
-        buffer_hit_ratio,
-        fusion_transfers_per_txn,
-        disk_reads_per_txn,
-        version_walks_per_txn,
-        versions_created_per_txn,
-        trunk_mbps,
-        ftp_mbps
-    );
+    macro_rules! avg_count {
+        ($($f:ident),*) => {
+            $( r.$f = (reports.iter().map(|x| x.$f).sum::<u64>() + n as u64 / 2) / n as u64; )*
+        };
+    }
+    avg! {
+        tpmc_scaled, tpmc_equivalent, tps_scaled, ctl_msgs_per_txn, data_msgs_per_txn,
+        storage_msgs_per_txn, lock_waits_per_txn, lock_busies_per_txn, lock_wait_ms,
+        txn_latency_ms, txn_latency_p95_ms, avg_cpi, avg_cs_cycles, avg_live_threads, cpu_util,
+        buffer_hit_ratio, fusion_transfers_per_txn, lease_transfers_per_txn,
+        lease_renewals_per_txn, disk_reads_per_txn, version_walks_per_txn,
+        versions_created_per_txn, trunk_mbps, trunk_utilization, trunk_mbps_edge,
+        trunk_utilization_edge, trunk_mbps_agg, trunk_utilization_agg, ftp_mbps
+    }
+    avg_count! {
+        committed, aborted, ftp_denied, ipc_resets, drops, fault_events_applied,
+        aborted_by_fault, iscsi_retries, fault_drops
+    }
     r
 }
 
@@ -136,5 +132,29 @@ mod tests {
         let m = average(&[a, b]);
         assert_eq!(m.tpmc_scaled, 200.0);
         assert_eq!(m.cpu_util, 0.75);
+    }
+
+    #[test]
+    fn average_means_every_series_and_counter() {
+        let a = Report {
+            txn_latency_p95_ms: 10.0,
+            trunk_utilization_agg: 0.25,
+            drops: 10,
+            committed: 100,
+            max_path_hops: 4,
+            ..Report::default()
+        };
+        let b = Report {
+            txn_latency_p95_ms: 20.0,
+            trunk_utilization_agg: 0.75,
+            drops: 21, // a mean of 15.5 rounds to 16
+            committed: 200,
+            max_path_hops: 6,
+            ..Report::default()
+        };
+        let m = average(&[a, b]);
+        assert_eq!((m.txn_latency_p95_ms, m.trunk_utilization_agg), (15.0, 0.5));
+        assert_eq!((m.drops, m.committed), (16, 150));
+        assert_eq!(m.max_path_hops, 4, "seed 0's fabric property");
     }
 }

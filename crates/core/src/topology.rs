@@ -208,17 +208,17 @@ impl Topology {
                     let a = e as u32 * agg / edge;
                     for _ in 0..uplinks {
                         b.trunk(*er, agg_routers[a as usize], trunk_bw, trunk_lat);
-                        trunk_tiers.push(0);
                     }
                 }
+                trunk_tiers.resize((edge * uplinks) as usize, 0);
                 // Tier-1 trunks: aggregation switches to the core.
                 if let Some(core) = core {
                     for ar in &agg_routers {
                         for _ in 0..uplinks {
                             b.trunk(*ar, core, agg_trunk_bw, trunk_lat);
-                            trunk_tiers.push(1);
                         }
                     }
+                    trunk_tiers.resize(((edge + agg) * uplinks) as usize, 1);
                 }
                 // Server hosts in node order, rack = edge switch.
                 let mut nh = Vec::new();
@@ -295,8 +295,10 @@ mod tests {
 
     #[test]
     fn paper_single_lata_has_no_trunks() {
-        let mut cfg = ClusterConfig::default();
-        cfg.nodes = 4;
+        let cfg = ClusterConfig {
+            nodes: 4,
+            ..ClusterConfig::default()
+        };
         let t = Topology::from_config(&cfg);
         assert_eq!(t, Topology::Paper { latas: 1 });
         let built = t.build(&cfg, policy());
@@ -309,8 +311,10 @@ mod tests {
 
     #[test]
     fn paper_two_latas_places_block_racks() {
-        let mut cfg = ClusterConfig::default();
-        cfg.nodes = 16; // auto-splits into 2 latas
+        let cfg = ClusterConfig {
+            nodes: 16, // auto-splits into 2 latas
+            ..ClusterConfig::default()
+        };
         let t = Topology::from_config(&cfg);
         let built = t.build(&cfg, policy());
         assert_eq!(built.trunks.len(), 2);
@@ -324,12 +328,14 @@ mod tests {
 
     #[test]
     fn hierarchical_places_and_counts_trunks() {
-        let mut cfg = ClusterConfig::default();
-        cfg.topology = FabricShape::Hierarchical;
-        cfg.nodes = 64;
-        cfg.nodes_per_edge = 8;
-        cfg.agg_switches = 2;
-        cfg.uplinks = 2;
+        let cfg = ClusterConfig {
+            topology: FabricShape::Hierarchical,
+            nodes: 64,
+            nodes_per_edge: 8,
+            agg_switches: 2,
+            uplinks: 2,
+            ..ClusterConfig::default()
+        };
         cfg.validate().expect("valid");
         let t = Topology::from_config(&cfg);
         assert_eq!(t.racks(), 8);
@@ -349,11 +355,13 @@ mod tests {
 
     #[test]
     fn hierarchical_single_agg_skips_core() {
-        let mut cfg = ClusterConfig::default();
-        cfg.topology = FabricShape::Hierarchical;
-        cfg.nodes = 16;
-        cfg.nodes_per_edge = 4;
-        cfg.agg_switches = 1;
+        let cfg = ClusterConfig {
+            topology: FabricShape::Hierarchical,
+            nodes: 16,
+            nodes_per_edge: 4,
+            agg_switches: 1,
+            ..ClusterConfig::default()
+        };
         cfg.validate().expect("valid");
         let built = Topology::from_config(&cfg).build(&cfg, policy());
         assert_eq!(built.trunks.len(), 4);

@@ -452,8 +452,8 @@ impl FaultLine {
 /// How the sweep axes are explored.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub enum SweepSpec {
-    /// Cartesian product of every axis (first axis outermost) — the
-    /// shape of every hardcoded figure grid.
+    /// Cartesian product of the cases and every axis (cases outermost,
+    /// then axes in file order) — the shape of every figure grid.
     #[default]
     Grid,
     /// Adaptive bisection for the scalability knee on the `nodes` axis.
@@ -484,8 +484,9 @@ pub struct KneeSpec {
 pub struct OutputSpec {
     /// Report columns, in print order (names from [`crate::columns`]).
     pub columns: Vec<&'static str>,
-    /// Insert a blank line whenever this axis key changes value
-    /// (mirrors the hardcoded figures' per-group spacing).
+    /// Insert a blank line whenever this axis key (or `case`) changes
+    /// value; also the group whose first row is the reference for
+    /// `tpmc_drop_pct`.
     pub group_by: Option<&'static str>,
 }
 
@@ -496,6 +497,16 @@ impl Default for OutputSpec {
             group_by: None,
         }
     }
+}
+
+/// One `[case <label>]` section: a named point whose scalar overrides
+/// apply on top of the base config. Cases form the outermost axis, in
+/// file order.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Case {
+    pub label: String,
+    /// Single-valued entries, in file order.
+    pub entries: Vec<Entry>,
 }
 
 /// A parsed scenario file.
@@ -510,6 +521,8 @@ pub struct Scenario {
     pub entries: Vec<Entry>,
     /// `[fault]` lines, in file order.
     pub faults: Vec<FaultLine>,
+    /// `[case <label>]` sections, in file order.
+    pub cases: Vec<Case>,
     pub sweep: SweepSpec,
     pub output: OutputSpec,
     /// `[service] listen` address, when present.
@@ -584,6 +597,12 @@ impl Scenario {
                 for l in lines {
                     let _ = writeln!(out, "{l}");
                 }
+            }
+        }
+        for case in &self.cases {
+            let _ = writeln!(out, "\n[case {}]", case.label);
+            for e in &case.entries {
+                let _ = writeln!(out, "{} = {}", e.key, e.values[0]);
             }
         }
         out

@@ -12,10 +12,11 @@
 //! service streams, so a file capture and a `/metrics` poll are
 //! interchangeable inputs.
 
+use crate::columns::Cell;
 use crate::json::Json;
 use crate::knee::KneeOutcome;
 use crate::plan::Plan;
-use crate::runner::{output_columns, GridRow};
+use crate::runner::{output_columns, table_cells, GridRow};
 
 /// File format of one `output=` request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -79,20 +80,21 @@ pub fn grid_csv(plan: &Plan, rows: &[GridRow]) -> String {
     let names: Vec<&str> = cols.iter().map(|c| c.name).collect();
     out.push_str(&names.join(","));
     out.push('\n');
-    for row in rows {
-        let cells: Vec<String> = cols
+    for cells in table_cells(plan, rows) {
+        let texts: Vec<String> = cols
             .iter()
-            .map(|c| c.cell(&row.point.cfg, &row.report).text(c.precision))
+            .zip(&cells)
+            .map(|(c, cell)| cell.text(c.precision))
             .collect();
-        out.push_str(&cells.join(","));
+        out.push_str(&texts.join(","));
         out.push('\n');
     }
     out
 }
 
-/// One JSON row: grid-point coordinates plus the selected columns —
-/// the same shape the `/metrics` endpoint streams.
-fn grid_row_json(plan: &Plan, row: &GridRow) -> Json {
+/// One JSON row: grid-point coordinates plus the selected columns
+/// (`cells`, in column order) — the shape `/metrics` streams too.
+pub fn grid_row_json(plan: &Plan, row: &GridRow, cells: &[Cell]) -> Json {
     let cols = output_columns(plan);
     let mut pairs: Vec<(String, Json)> = vec![(
         "coords".into(),
@@ -104,12 +106,11 @@ fn grid_row_json(plan: &Plan, row: &GridRow) -> Json {
                 .collect(),
         ),
     )];
-    pairs.extend(cols.iter().map(|c| {
-        (
-            c.name.to_string(),
-            c.cell(&row.point.cfg, &row.report).json(),
-        )
-    }));
+    pairs.extend(
+        cols.iter()
+            .zip(cells)
+            .map(|(c, cell)| (c.name.to_string(), cell.json())),
+    );
     Json::Obj(pairs)
 }
 
@@ -121,7 +122,12 @@ pub fn grid_json(plan: &Plan, rows: &[GridRow]) -> Json {
         ("seeds".into(), Json::Num(plan.seeds as f64)),
         (
             "rows".into(),
-            Json::Arr(rows.iter().map(|r| grid_row_json(plan, r)).collect()),
+            Json::Arr(
+                rows.iter()
+                    .zip(table_cells(plan, rows))
+                    .map(|(r, cells)| grid_row_json(plan, r, &cells))
+                    .collect(),
+            ),
         ),
     ])
 }

@@ -1,23 +1,21 @@
 //! # dclue-scenario — declarative experiments over the DCLUE cluster
 //!
-//! The figures harness hardcodes each paper figure as a Rust function:
-//! a config builder, a sweep loop and a print format. This crate makes
-//! that shape declarative. A `.dcs` scenario file names a topology, a
-//! protocol, a workload, optional faults and one or more sweep axes;
-//! the pipeline here turns it into the same validated
-//! [`dclue_cluster::ClusterConfig`] grid a hardcoded figure would build
-//! and runs it through the same [`dclue_cluster::sweep`] entry point —
-//! so a scenario run is bit-identical to its hardcoded twin (a
-//! committed test pins this for the shipped examples).
+//! A `.dcs` scenario file names a topology, a protocol, a workload,
+//! optional faults, named `[case]` points and sweep axes, and the
+//! columns to print. The pipeline here turns it into a validated
+//! [`dclue_cluster::ClusterConfig`] grid and runs it through the
+//! [`dclue_cluster::sweep`] entry point. Every paper figure is such a
+//! file (`examples/scenarios/`), which the `figures` binary embeds and
+//! runs by name.
 //!
 //! The pipeline, one module per stage:
 //!
 //! - [`mod@parse`] — text → [`ast::Scenario`]. Line-oriented, hand-rolled,
 //!   every error carries a line number and the accepted choices.
 //! - [`plan`] — [`ast::Scenario`] → [`plan::Plan`]: scalars applied to
-//!   a base config, multi-valued keys expanded into a cartesian grid
-//!   (first axis outermost, the hardcoded loop nesting), every point
-//!   pre-validated by `ClusterConfig::validate`.
+//!   a base config, `[case]` sections and multi-valued keys expanded
+//!   into a cartesian grid (cases outermost, then axes in file order),
+//!   every point pre-validated by `ClusterConfig::validate`.
 //! - [`runner`] — executes a plan via `sweep::run_avg_many`, keeping
 //!   the determinism contract (submission order, exact serial path at
 //!   `jobs = 1`, fixed seed ladder), and renders the text tables.
@@ -28,8 +26,9 @@
 //! - [`service`] — `figures serve`: a std-only HTTP endpoint streaming
 //!   run status, finished rows and the dclue-trace metrics registry as
 //!   JSON while the experiment is in flight.
-//! - [`columns`] — the report columns `[output]` can select, shared by
-//!   the text table and the JSON rows.
+//! - [`columns`] — the columns `[output]` can select (config echoes,
+//!   report series, point coordinates, the group-relative
+//!   `tpmc_drop_pct`), shared by the text table and the JSON rows.
 //! - [`emit`] — `figures run ... output=csv:<path>` / `output=json:<path>`
 //!   file emission, derived from the same column table.
 //! - [`json`] — minimal JSON writer + validating scanner (no deps).

@@ -22,13 +22,18 @@
 //! [output]
 //! columns = [nodes, affinity, tpmc_scaled]
 //! group_by = nodes
+//!
+//! [case no cross traffic]     # a named point: the outermost axis
+//! [case priority FTP]
+//! qos = ftp-priority          # scalar overrides of the base config
+//! ftp_offered_bps = 6000000
 //! ```
 //!
 //! Every error carries the 1-based line number and says what to change;
 //! the rejection tests pin one test per grammar rule.
 
 use crate::ast::{
-    key_spec, Entry, FaultLine, KneeSpec, OutputSpec, Scenario, Section, SweepSpec, Ty, Value,
+    key_spec, Case, Entry, FaultLine, KneeSpec, OutputSpec, Scenario, Section, SweepSpec, Ty, Value,
 };
 use crate::columns;
 use dclue_cluster::config::{Policer, StorageMode};
@@ -496,9 +501,13 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
     let mut faults: Vec<FaultLine> = Vec::new();
     let mut sweep = SweepBuilder::default();
     let mut columns_spec: Option<(usize, Vec<&'static str>)> = None;
+    let mut cases: Vec<Case> = Vec::new();
+    // Line of every case override, for the cross-checks at EOF.
+    let mut case_keys: Vec<(usize, &'static str)> = Vec::new();
+    let mut in_case = false;
     let mut group_by: Option<(usize, &'static str)> = None;
     let mut listen: Option<String> = None;
-    let mut seen: Vec<(Section, String)> = Vec::new();
+    let mut seen: Vec<(Option<usize>, Section, String)> = Vec::new();
     let mut last_line = 0;
 
     for (idx, raw) in src.lines().enumerate() {
@@ -514,17 +523,34 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
             let Some(sec_name) = inner.strip_suffix(']') else {
                 return err(line_no, format!("malformed section header '{text}'"));
             };
+            if let Some(label) = sec_name.strip_prefix("case") {
+                let label = label.trim();
+                if label.is_empty() || !sec_name.starts_with("case ") {
+                    return err(line_no, "a case section needs a label: [case <label>]");
+                }
+                if cases.iter().any(|c| c.label == label) {
+                    return err(line_no, format!("duplicate case '{label}'"));
+                }
+                cases.push(Case {
+                    label: label.to_string(),
+                    entries: Vec::new(),
+                });
+                section = None;
+                in_case = true;
+                continue;
+            }
             let Some(sec) = Section::from_name(sec_name) else {
                 let all: Vec<&str> = Section::ALL.iter().map(|s| s.name()).collect();
                 return err(
                     line_no,
                     format!(
-                        "unknown section '[{sec_name}]' (choices: [{}])",
+                        "unknown section '[{sec_name}]' (choices: [{}], [case <label>])",
                         all.join("], [")
                     ),
                 );
             };
             section = Some(sec);
+            in_case = false;
             continue;
         }
 
@@ -545,7 +571,7 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
 
         // Top-level header keys.
         if key == "scenario" || key == "description" {
-            if section.is_some() {
+            if section.is_some() || in_case {
                 return err(
                     line_no,
                     format!("'{key}' belongs at the top of the file, before any [section]"),
@@ -571,24 +597,45 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
             continue;
         }
 
-        let Some(sec) = section else {
-            return err(
-                line_no,
-                format!(
-                    "key '{key}' appears before any section; only 'scenario' and \
-                     'description' may appear at the top"
-                ),
-            );
+        // Inside a case, a key belongs to its home section.
+        let case = cases.last().filter(|_| in_case);
+        let sec = match (section, case) {
+            (Some(sec), _) => sec,
+            (None, Some(case)) => match key_spec(key) {
+                Some(spec) if !matches!(spec.key, "seeds" | "jobs") => spec.section,
+                _ => {
+                    return err(
+                        line_no,
+                        format!(
+                            "unknown key '{key}' in [case {}] (a case overrides config \
+                             keys of [engine] to [storage], except seeds and jobs)",
+                            case.label
+                        ),
+                    )
+                }
+            },
+            (None, None) => {
+                return err(
+                    line_no,
+                    format!(
+                        "key '{key}' appears before any section; only 'scenario' and \
+                         'description' may appear at the top"
+                    ),
+                )
+            }
         };
+        let place = case.map_or(sec.name().to_string(), |c| format!("case {}", c.label));
 
-        // Duplicate detection across the whole file (keys are unique).
-        if seen.iter().any(|(s, k)| *s == sec && k == key) {
-            return err(
-                line_no,
-                format!("duplicate key '{key}' in [{}]", sec.name()),
-            );
+        // Duplicate detection across the whole file (keys are unique),
+        // and within each case.
+        let scope = case.map(|_| cases.len());
+        if seen
+            .iter()
+            .any(|(c, s, k)| *c == scope && *s == sec && k == key)
+        {
+            return err(line_no, format!("duplicate key '{key}' in [{place}]"));
         }
-        seen.push((sec, key.to_string()));
+        seen.push((scope, sec, key.to_string()));
 
         // Section-specific structural keys.
         match sec {
@@ -659,7 +706,10 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
                                     columns::COLUMNS.iter().map(|c| c.name).collect();
                                 return err(
                                     line_no,
-                                    format!("unknown column '{c}' (choices: {})", known.join(", ")),
+                                    format!(
+                                        "unknown column '{c}' (choices: {}, or any sweep-axis key)",
+                                        known.join(", ")
+                                    ),
                                 );
                             };
                             cols.push(col.name);
@@ -669,6 +719,7 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
                         }
                         columns_spec = Some((line_no, cols));
                     }
+                    "group_by" if raw_val == "case" => group_by = Some((line_no, "case")),
                     "group_by" => {
                         let Some(spec) = key_spec(raw_val) else {
                             return err(
@@ -745,6 +796,12 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
                     format!("unterminated list for '{key}': missing closing ']'"),
                 );
             };
+            if in_case {
+                return err(
+                    line_no,
+                    format!("'{key}' in [{place}] takes a single value; sweep lists belong outside the cases"),
+                );
+            }
             if !spec.sweepable {
                 return err(
                     line_no,
@@ -773,11 +830,18 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
                 msg: format!("value for '{key}': {e}"),
             })?]
         };
-        entries.push(Entry {
+        let entry = Entry {
             section: sec,
             key: spec.key,
             values,
-        });
+        };
+        match cases.last_mut().filter(|_| in_case) {
+            Some(case) => {
+                case_keys.push((line_no, spec.key));
+                case.entries.push(entry);
+            }
+            None => entries.push(entry),
+        }
     }
 
     let Some(name) = name else {
@@ -800,13 +864,50 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
             );
         }
     }
-    if let Some((l, g)) = group_by {
-        let is_axis = entries.iter().any(|e| e.key == g && e.is_axis());
-        if !is_axis {
+    if !cases.is_empty() && matches!(sweep, SweepSpec::Knee(_)) {
+        return err(
+            last_line.max(1),
+            "mode = knee probes one base config; [case] sections need a grid sweep",
+        );
+    }
+    for &(l, k) in &case_keys {
+        if entries.iter().any(|e| e.key == k && e.is_axis()) {
             return err(
                 l,
-                format!("group_by '{g}' must name a sweep axis (a key with a list value)"),
+                format!("'{k}' is a sweep axis; a case cannot also override it"),
             );
+        }
+    }
+    // A coordinate (`case` or an axis key) must exist on every point.
+    let is_coord = |k: &str| {
+        if k == "case" {
+            !cases.is_empty()
+        } else {
+            entries.iter().any(|e| e.key == k && e.is_axis())
+        }
+    };
+    if let Some((l, g)) = group_by {
+        if !is_coord(g) {
+            return err(
+                l,
+                format!(
+                    "group_by '{g}' must name a sweep axis (a key with a list value) \
+                     or 'case' when the file has [case] sections"
+                ),
+            );
+        }
+    }
+    if let Some((l, cols)) = &columns_spec {
+        for &c in cols {
+            if columns::column(c).is_some_and(|col| col.is_coord()) && !is_coord(c) {
+                return err(
+                    *l,
+                    format!(
+                        "column '{c}' prints a point coordinate, so it must name a sweep \
+                         axis (a key with a list value) or 'case' with [case] sections"
+                    ),
+                );
+            }
         }
     }
 
@@ -826,6 +927,7 @@ pub fn parse(src: &str) -> Result<Scenario, ParseError> {
         description,
         entries,
         faults,
+        cases,
         sweep,
         output,
         listen,

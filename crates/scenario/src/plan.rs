@@ -1,24 +1,33 @@
 //! Lowering a parsed [`Scenario`] onto validated [`ClusterConfig`]s.
 //!
-//! Scalar entries are applied to a base config; multi-valued entries
-//! become sweep axes expanded as a cartesian product (first axis
-//! outermost, matching the loop nesting of every hardcoded figure).
+//! Scalar entries are applied to a base config; `[case]` sections and
+//! multi-valued entries become sweep axes expanded as a cartesian
+//! product (cases outermost, then axes in file order).
 //! Every grid point passes [`ClusterConfig::validate`] before anything
 //! runs, so a bad sweep value fails with the point's label attached
 //! instead of panicking mid-sweep.
 
 use crate::ast::{apply, Entry, Scenario, SweepSpec, Value};
-use dclue_cluster::ClusterConfig;
+use dclue_cluster::{ClientModel, ClusterConfig};
 
 /// One runnable grid point.
 #[derive(Clone, Debug)]
 pub struct Point {
-    /// `key=value` pairs of the axis coordinates, in axis order.
+    /// `key=value` pairs of the axis coordinates, in axis order; a
+    /// point of a `[case]` section starts with `case=<label>`.
     pub coords: Vec<(&'static str, String)>,
     pub cfg: ClusterConfig,
 }
 
 impl Point {
+    /// The canonical value of this point's coordinate on `key`.
+    pub fn coord(&self, key: &str) -> Option<&str> {
+        self.coords
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
     /// Human label: `nodes=8 affinity=0.5` (empty for a single point).
     pub fn label(&self) -> String {
         self.coords
@@ -68,10 +77,27 @@ pub fn compile(scenario: &Scenario) -> Result<Plan, String> {
     let points = match &scenario.sweep {
         SweepSpec::Knee(_) => Vec::new(),
         SweepSpec::Grid => {
-            let mut pts = vec![Point {
-                coords: Vec::new(),
-                cfg: base.clone(),
-            }];
+            let mut pts = if scenario.cases.is_empty() {
+                vec![Point {
+                    coords: Vec::new(),
+                    cfg: base.clone(),
+                }]
+            } else {
+                scenario
+                    .cases
+                    .iter()
+                    .map(|case| {
+                        let mut cfg = base.clone();
+                        for e in &case.entries {
+                            apply(&mut cfg, e.key, &e.values[0]);
+                        }
+                        Point {
+                            coords: vec![("case", case.label.clone())],
+                            cfg,
+                        }
+                    })
+                    .collect()
+            };
             for axis in &axes {
                 let mut next = Vec::with_capacity(pts.len() * axis.values.len());
                 for p in &pts {
@@ -89,37 +115,63 @@ pub fn compile(scenario: &Scenario) -> Result<Plan, String> {
         }
     };
 
-    // Validate everything up front, with the offending point named.
-    match &scenario.sweep {
-        SweepSpec::Grid => {
-            for p in &points {
-                p.cfg.validate().map_err(|e| {
-                    let label = p.label();
-                    if label.is_empty() {
-                        format!("scenario '{}': {e}", scenario.name)
-                    } else {
-                        format!("scenario '{}', point {label}: {e}", scenario.name)
-                    }
-                })?;
-            }
-        }
-        SweepSpec::Knee(k) => {
-            for n in [k.min, k.max] {
-                let cfg = cfg_at_nodes(&base, n);
-                cfg.validate().map_err(|e| {
-                    format!("scenario '{}', knee probe nodes={n}: {e}", scenario.name)
-                })?;
-            }
-        }
-    }
-
-    Ok(Plan {
+    let plan = Plan {
         scenario: scenario.clone(),
         base,
         points,
         seeds,
         jobs,
-    })
+    };
+    plan.validate()?;
+    Ok(plan)
+}
+
+impl Plan {
+    /// Validate every grid point (or both knee range ends), naming the
+    /// offending point.
+    fn validate(&self) -> Result<(), String> {
+        let name = &self.scenario.name;
+        match &self.scenario.sweep {
+            SweepSpec::Grid => {
+                for p in &self.points {
+                    p.cfg.validate().map_err(|e| {
+                        let label = p.label();
+                        if label.is_empty() {
+                            format!("scenario '{name}': {e}")
+                        } else {
+                            format!("scenario '{name}', point {label}: {e}")
+                        }
+                    })?;
+                }
+            }
+            SweepSpec::Knee(k) => {
+                for n in [k.min, k.max] {
+                    cfg_at_nodes(&self.base, n)
+                        .validate()
+                        .map_err(|e| format!("scenario '{name}', knee probe nodes={n}: {e}"))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply the command line's engine choices to the base and every
+    /// point: `exact` selects the segment-exact engine, `client_model`
+    /// replaces the scenario's driver model. The plan is re-validated.
+    pub fn override_engine(
+        &mut self,
+        exact: bool,
+        client_model: Option<ClientModel>,
+    ) -> Result<(), String> {
+        for cfg in std::iter::once(&mut self.base).chain(self.points.iter_mut().map(|p| &mut p.cfg))
+        {
+            cfg.exact |= exact;
+            if let Some(m) = client_model {
+                cfg.client_model = m;
+            }
+        }
+        self.validate()
+    }
 }
 
 /// The base config probed at a given cluster size (knee mode).

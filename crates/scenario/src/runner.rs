@@ -8,7 +8,7 @@
 //! probes, so the answer is independent of `jobs`.
 
 use crate::ast::SweepSpec;
-use crate::columns::{column, Cell, Column};
+use crate::columns::{column, Cell, Column, Row};
 use crate::knee::{find_knee, KneeOutcome};
 use crate::plan::{cfg_at_nodes, Plan, Point};
 use dclue_cluster::{sweep, Report};
@@ -63,12 +63,39 @@ pub fn run(plan: &Plan, jobs: usize) -> Outcome {
 
 /// The `[output] columns` resolved against the column table. The parser
 /// already validated the names, so lookups cannot fail.
-pub fn output_columns(plan: &Plan) -> Vec<&'static Column> {
+pub fn output_columns(plan: &Plan) -> Vec<Column> {
     plan.scenario
         .output
         .columns
         .iter()
         .map(|name| column(name).expect("parser validated column names"))
+        .collect()
+}
+
+/// The point's value on the `[output] group_by` axis, if any.
+fn group_value<'a>(plan: &Plan, point: &'a Point) -> Option<&'a str> {
+    point.coord(plan.scenario.output.group_by?)
+}
+
+/// Every row's cells, in `[output] columns` order. A row's reference
+/// (for `tpmc_drop_pct`) is the first row of its `group_by` group, or
+/// the first row of the table when there is no `group_by`.
+pub fn table_cells(plan: &Plan, rows: &[GridRow]) -> Vec<Vec<Cell>> {
+    let cols = output_columns(plan);
+    let mut start = 0;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            if group_value(plan, &row.point) != group_value(plan, &rows[start].point) {
+                start = i;
+            }
+            let ctx = Row {
+                point: &row.point,
+                report: &row.report,
+                reference: &rows[start].report,
+            };
+            cols.iter().map(|c| c.cell(&ctx)).collect()
+        })
         .collect()
 }
 
@@ -81,18 +108,11 @@ fn pad(text: &str, width: usize, cell: &Cell) -> String {
 }
 
 /// Render finished grid rows as an aligned text table. A blank line is
-/// inserted whenever the `[output] group_by` axis changes value, the
-/// spacing the hardcoded figures use between sub-sweeps.
+/// inserted whenever the `[output] group_by` axis changes value, to
+/// separate the sub-sweeps of a figure.
 pub fn render_grid_table(plan: &Plan, rows: &[GridRow]) -> String {
     let cols = output_columns(plan);
-    let cells: Vec<Vec<Cell>> = rows
-        .iter()
-        .map(|row| {
-            cols.iter()
-                .map(|c| c.cell(&row.point.cfg, &row.report))
-                .collect()
-        })
-        .collect();
+    let cells = table_cells(plan, rows);
     let texts: Vec<Vec<String>> = cells
         .iter()
         .map(|row| {
@@ -116,25 +136,21 @@ pub fn render_grid_table(plan: &Plan, rows: &[GridRow]) -> String {
         .collect();
 
     let mut out = String::new();
+    // Headers align like their column's cells.
     let header: Vec<String> = cols
         .iter()
-        .zip(&widths)
-        .map(|(col, w)| format!("{:>w$}", col.name))
+        .enumerate()
+        .map(|(i, col)| {
+            let first = cells.first().map_or(&Cell::U(0), |row| &row[i]);
+            pad(col.name, widths[i], first)
+        })
         .collect();
-    out.push_str(&header.join("  "));
+    out.push_str(header.join("  ").trim_end());
     out.push('\n');
 
-    let group_val = |row: &GridRow| -> Option<String> {
-        let key = plan.scenario.output.group_by?;
-        row.point
-            .coords
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-    };
-    let mut prev_group: Option<String> = None;
+    let mut prev_group: Option<&str> = None;
     for (row, (cell_row, text_row)) in rows.iter().zip(cells.iter().zip(&texts)) {
-        let g = group_val(row);
+        let g = group_value(plan, &row.point);
         if prev_group.is_some() && g != prev_group {
             out.push('\n');
         }

@@ -26,11 +26,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
 
 use crate::ast::SweepSpec;
+use crate::emit::grid_row_json;
 use crate::json::Json;
 use crate::knee::find_knee;
-use crate::plan::{cfg_at_nodes, Plan};
-use crate::runner::output_columns;
-use dclue_cluster::sweep;
+use crate::plan::{cfg_at_nodes, Plan, Point};
+use crate::runner::{output_columns, table_cells, GridRow};
+use dclue_cluster::{sweep, ClusterConfig, Report};
 use dclue_trace::metrics;
 
 /// One scenario listed by `/scenarios`.
@@ -173,7 +174,6 @@ impl Service {
         match &plan.scenario.sweep {
             SweepSpec::Grid => self.run_grid(plan),
             SweepSpec::Knee(spec) => {
-                let cols = output_columns(plan);
                 let outcome = find_knee(spec, |n| {
                     self.set_current(format!("nodes={n}"));
                     let cfg = cfg_at_nodes(&plan.base, n);
@@ -184,7 +184,7 @@ impl Service {
                     // Published as soon as the probe finishes, so a
                     // /metrics poll mid-search already sees the curve
                     // grow point by point.
-                    self.push_knee_probe(n, &cfg, &report, &cols);
+                    self.push_knee_probe(plan, n, cfg, report);
                     tpmc
                 });
                 let mut s = self.state.lock().unwrap();
@@ -202,33 +202,19 @@ impl Service {
     }
 
     fn run_grid(&self, plan: &Plan) {
-        let cols = output_columns(plan);
+        let mut done: Vec<GridRow> = Vec::new();
         for point in &plan.points {
             self.set_current(point.label());
             let report = sweep::run_avg_many(1, std::slice::from_ref(&point.cfg), plan.seeds)
                 .pop()
                 .expect("one config in, one report out");
-            let mut pairs: Vec<(String, Json)> = vec![(
-                "coords".into(),
-                Json::Obj(
-                    point
-                        .coords
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), Json::str(v.clone())))
-                        .collect(),
-                ),
-            )];
-            pairs.extend(
-                cols.iter()
-                    .map(|c| (c.name.to_string(), c.cell(&point.cfg, &report).json())),
-            );
-            let mut s = self.state.lock().unwrap();
-            s.rows.push(Json::Obj(pairs));
-            s.points_done += 1;
-            s.registry = metrics::snapshot()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
+            done.push(GridRow {
+                point: point.clone(),
+                report,
+            });
+            // Cells of the newest row, against its group's reference.
+            let cells = table_cells(plan, &done).pop().expect("a row was pushed");
+            self.publish(grid_row_json(plan, &done[done.len() - 1], &cells));
         }
     }
 
@@ -243,30 +229,38 @@ impl Service {
     /// Publish one finished knee probe as a full output-column row
     /// (same shape as a grid row), keeping the guarantee that knee
     /// rows always carry `nodes` and `tpmc_scaled` even when the
-    /// scenario's `[output] columns` omits them.
-    fn push_knee_probe(
-        &self,
-        nodes: u32,
-        cfg: &dclue_cluster::ClusterConfig,
-        report: &dclue_cluster::Report,
-        cols: &[&'static crate::columns::Column],
-    ) {
-        let mut pairs: Vec<(String, Json)> = vec![(
-            "coords".into(),
-            Json::Obj(vec![("nodes".into(), Json::str(nodes.to_string()))]),
-        )];
+    /// scenario's `[output] columns` omits them. A probe is its own
+    /// `tpmc_drop_pct` reference.
+    fn push_knee_probe(&self, plan: &Plan, nodes: u32, cfg: ClusterConfig, report: Report) {
+        let cols = output_columns(plan);
+        let mut extra: Vec<(String, Json)> = Vec::new();
         if !cols.iter().any(|c| c.name == "nodes") {
-            pairs.push(("nodes".into(), Json::Num(nodes as f64)));
+            extra.push(("nodes".into(), Json::Num(nodes as f64)));
         }
         if !cols.iter().any(|c| c.name == "tpmc_scaled") {
-            pairs.push(("tpmc_scaled".into(), Json::Num(report.tpmc_scaled)));
+            extra.push(("tpmc_scaled".into(), Json::Num(report.tpmc_scaled)));
         }
-        pairs.extend(
-            cols.iter()
-                .map(|c| (c.name.to_string(), c.cell(cfg, report).json())),
-        );
+        let row = GridRow {
+            point: Point {
+                coords: vec![("nodes", nodes.to_string())],
+                cfg,
+            },
+            report,
+        };
+        let cells = table_cells(plan, std::slice::from_ref(&row))
+            .pop()
+            .expect("one row in, one row out");
+        let Json::Obj(mut pairs) = grid_row_json(plan, &row, &cells) else {
+            unreachable!("a grid row is a JSON object");
+        };
+        pairs.splice(1..1, extra);
+        self.publish(Json::Obj(pairs));
+    }
+
+    /// Append a finished row and snapshot the metrics registry.
+    fn publish(&self, row: Json) {
         let mut s = self.state.lock().unwrap();
-        s.rows.push(Json::Obj(pairs));
+        s.rows.push(row);
         s.points_done += 1;
         s.registry = metrics::snapshot()
             .into_iter()

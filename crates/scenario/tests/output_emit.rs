@@ -3,6 +3,7 @@
 //! re-render of the same grid, and the JSON must scan as one
 //! well-formed document carrying every selected column.
 
+use dclue_scenario::columns::Row;
 use dclue_scenario::emit::OutputRequest;
 use dclue_scenario::runner::{output_columns, run, Outcome};
 use dclue_scenario::{compile, json, parse, Plan};
@@ -55,9 +56,14 @@ fn csv_emission_matches_a_fresh_render() {
     let body: Vec<&str> = lines.collect();
     assert_eq!(body.len(), rows.len(), "one CSV line per grid point");
     for (line, row) in body.iter().zip(rows) {
+        let ctx = Row {
+            point: &row.point,
+            report: &row.report,
+            reference: &rows[0].report,
+        };
         let expect: Vec<String> = cols
             .iter()
-            .map(|c| c.cell(&row.point.cfg, &row.report).text(c.precision))
+            .map(|c| c.cell(&ctx).text(c.precision))
             .collect();
         assert_eq!(*line, expect.join(","));
     }

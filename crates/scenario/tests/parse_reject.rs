@@ -401,3 +401,52 @@ fn compile_rejects_intra_jobs_above_nodes() {
     assert_eq!(e.line, 3);
     assert!(e.msg.contains("unknown key 'intra_jobs'"), "{e}");
 }
+
+// `[case <label>]` sections: named points of scalar overrides.
+
+#[test]
+fn rejects_malformed_case_sections() {
+    for (body, line, why) in [
+        ("[case]\n", 2, "[case <label>]"),
+        ("[case a]\nnodes = 2\n[case a]\n", 4, "duplicate case 'a'"),
+        (
+            "[case a]\nnodes = 2\nnodes = 4\n",
+            4,
+            "duplicate key 'nodes' in [case a]",
+        ),
+        ("[case a]\nnodes = [2, 4]\n", 3, "single value"),
+        (
+            "[case a]\nseeds = 2\n",
+            3,
+            "unknown key 'seeds' in [case a]",
+        ),
+        (
+            "[topology]\nnodes = [2, 4]\n[case a]\nnodes = 8\n",
+            5,
+            "'nodes' is a sweep axis",
+        ),
+        (
+            "[sweep]\nmode = knee\nmin = 2\nmax = 4\n[case a]\n",
+            6,
+            "need a grid sweep",
+        ),
+    ] {
+        let (l, m) = err(&with_header(body));
+        assert_eq!(l, line, "{body}: {m}");
+        assert!(m.contains(why), "{body}: {m}");
+    }
+}
+
+#[test]
+fn rejects_coordinate_column_that_is_not_an_axis() {
+    let (l, m) = err(&with_header(
+        "[workload]\nqos = ftp-priority\n[output]\ncolumns = [qos, tpmc_scaled]\n",
+    ));
+    assert_eq!(l, 5);
+    assert!(
+        m.contains("column 'qos'") && m.contains("sweep axis"),
+        "{m}"
+    );
+    let (_, m) = err(&with_header("[output]\ncolumns = [case]\n"));
+    assert!(m.contains("column 'case'"), "{m}");
+}

@@ -18,7 +18,7 @@ fn roundtrip(src: &str) -> Scenario {
 
 #[test]
 fn kitchen_sink_roundtrips() {
-    // Every section, every value type, faults, axes, grouping.
+    // Every section, every value type, faults, axes, cases, grouping.
     let sc = roundtrip(
         r#"
 # full-surface scenario
@@ -81,16 +81,24 @@ node_outage 1 at=25s for=6s
 iscsi_stall 0 at=8s for=1500ms
 
 [output]
-columns = [kind, nodes, affinity, tpmc_scaled, abort_pct]
+columns = [case, kind, nodes, affinity, tpmc_scaled, tpmc_drop_pct, abort_pct]
 group_by = kind
 
 [service]
 listen = 127.0.0.1:7070
+
+[case paper setup]
+
+[case shaped to 150 Mb/s]
+ftp_offered_bps = 6000000
+ftp_policer = rate:1500000,burst:131072
 "#,
     );
     assert_eq!(sc.name, "kitchen-sink_1");
     assert_eq!(sc.axes().count(), 3);
     assert_eq!(sc.faults.len(), 6);
+    assert_eq!(sc.cases[1].label, "shaped to 150 Mb/s");
+    assert_eq!(sc.cases[1].entries.len(), 2);
     assert_eq!(sc.listen.as_deref(), Some("127.0.0.1:7070"));
 }
 
