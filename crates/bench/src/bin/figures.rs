@@ -269,6 +269,19 @@ fn check_flags(args: &[String]) {
     }
 }
 
+/// `--metrics` reads the `dclue-trace` registry, which exists only
+/// when `enabled` (debug builds, or `--features dclue-trace/trace`);
+/// without it the flag would print nothing and still exit 0.
+fn check_metrics(metrics: bool, enabled: bool) -> Result<(), &'static str> {
+    if metrics && !enabled {
+        return Err(
+            "--metrics needs the metrics registry, which this build compiles out; \
+             rebuild with `--features dclue-trace/trace` (or use a debug build)",
+        );
+    }
+    Ok(())
+}
+
 /// The numeric value of `flag`, if given; a value that does not parse
 /// is a usage error.
 fn number_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
@@ -304,10 +317,11 @@ fn main() {
         // The metrics registry is thread-local, so `--metrics` pins the
         // serial (jobs=1) path and dumps the registry when the run
         // ends. Compiled in for debug builds or
-        // `--features dclue-trace/trace`.
+        // `--features dclue-trace/trace`; refused otherwise.
         metrics: args.iter().any(|a| a == "--metrics"),
         outputs: output_requests(&args),
     };
+    check_metrics(opts.metrics, dclue_trace::ENABLED).unwrap_or_else(|e| die(e));
     if let Some(j) = opts.jobs.filter(|&j| opts.metrics && j > 1) {
         eprintln!(
             "[figures] warning: --metrics reads a thread-local registry and must run \
@@ -368,5 +382,13 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), ALL.len() + MORE.len(), "duplicate figure");
+    }
+
+    #[test]
+    fn metrics_is_refused_when_the_registry_is_compiled_out() {
+        let e = check_metrics(true, false).unwrap_err();
+        assert!(e.contains("--features dclue-trace/trace"), "{e}");
+        assert_eq!(check_metrics(true, true), Ok(()));
+        assert_eq!(check_metrics(false, false), Ok(()));
     }
 }

@@ -218,11 +218,6 @@ pub struct ClusterConfig {
     // ---- fabric ----
     /// Fabric shape the topology layer compiles (DESIGN.md §15).
     pub topology: FabricShape,
-    /// Hierarchical shape: edge switches in the fabric. `0` = derive
-    /// `nodes / nodes_per_edge` (the common case, so a `nodes` sweep
-    /// can grow the edge tier without a second co-varied axis).
-    /// Ignored by [`FabricShape::Paper`].
-    pub edge_switches: u32,
     /// Hierarchical shape: nodes (hosts) attached to each edge switch —
     /// the rack size. Ignored by [`FabricShape::Paper`].
     pub nodes_per_edge: u32,
@@ -323,7 +318,6 @@ impl Default for ClusterConfig {
             seed: 42,
             exact: true,
             topology: FabricShape::Paper,
-            edge_switches: 0,
             nodes_per_edge: 0,
             agg_switches: 1,
             uplinks: 1,
@@ -409,17 +403,12 @@ impl ClusterConfig {
         node / self.nodes_per_lata()
     }
 
-    /// Effective edge-switch count for the hierarchical shape:
-    /// `edge_switches` when set, else derived as
-    /// `nodes / nodes_per_edge` so a `nodes` sweep grows the edge tier
+    /// Edge-switch count for the hierarchical shape,
+    /// `nodes / nodes_per_edge`, so a `nodes` sweep grows the edge tier
     /// without a second co-varied axis. Meaningless under
     /// [`FabricShape::Paper`].
     pub fn effective_edge_switches(&self) -> u32 {
-        if self.edge_switches > 0 {
-            self.edge_switches
-        } else {
-            self.nodes.checked_div(self.nodes_per_edge).unwrap_or(0)
-        }
+        self.nodes.checked_div(self.nodes_per_edge).unwrap_or(0)
     }
 
     /// Agg → core trunk bandwidth: `agg_trunk_bw` when set, else the
@@ -550,15 +539,7 @@ impl ClusterConfig {
                      it is the rack size (nodes attached to each edge switch)"
                     .into());
             }
-            if self.edge_switches > 0 {
-                if self.edge_switches * self.nodes_per_edge != self.nodes {
-                    return Err(format!(
-                        "edge_switches ({}) x nodes_per_edge ({}) must equal nodes \
-                         ({}); set edge_switches = 0 to derive it from the node count",
-                        self.edge_switches, self.nodes_per_edge, self.nodes
-                    ));
-                }
-            } else if self.nodes % self.nodes_per_edge != 0 {
+            if self.nodes % self.nodes_per_edge != 0 {
                 return Err(format!(
                     "nodes ({}) must divide evenly across edge switches of \
                      nodes_per_edge ({}) each; partial racks would skew placement — \

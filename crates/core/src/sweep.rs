@@ -7,12 +7,13 @@
 //! the determinism contract: results come back in **submission order**,
 //! and with `jobs == 1` the pool is bypassed for the exact legacy
 //! serial loop. Every harness that prints or averages sweep output
-//! (figures binary, examples, benches, tests) goes through here so they
+//! (figures binary, examples, tests) goes through here so they
 //! all inherit the same ordering guarantee.
 
 use crate::{ClusterConfig, Report};
 
-pub use dclue_sim::par::{available_jobs, resolve_jobs, run_ordered};
+pub use dclue_sim::par::resolve_jobs;
+use dclue_sim::par::run_ordered;
 
 /// The harness seed ladder: seed index `s` runs with `42 + s * 1000`.
 /// (Kept as a function so figures, examples and tests can't drift.)

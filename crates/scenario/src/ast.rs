@@ -200,7 +200,6 @@ pub const KEYS: &[KeySpec] = &[
     // knobs *mean* (latas vs racks) — compare shapes across scenarios,
     // not inside one grid.
     k(Section::Topology, "topology", Ty::Shape, false),
-    k(Section::Topology, "edge_switches", Ty::U32, true),
     k(Section::Topology, "nodes_per_edge", Ty::U32, true),
     k(Section::Topology, "agg_switches", Ty::U32, true),
     k(Section::Topology, "uplinks", Ty::U32, true),
@@ -259,7 +258,6 @@ pub fn apply(cfg: &mut ClusterConfig, key: &str, v: &Value) {
         ("nodes", Value::U32(n)) => cfg.nodes = *n,
         ("latas", Value::U32(n)) => cfg.latas = *n,
         ("topology", Value::Shape(s)) => cfg.topology = *s,
-        ("edge_switches", Value::U32(n)) => cfg.edge_switches = *n,
         ("nodes_per_edge", Value::U32(n)) => cfg.nodes_per_edge = *n,
         ("agg_switches", Value::U32(n)) => cfg.agg_switches = *n,
         ("uplinks", Value::U32(n)) => cfg.uplinks = *n,

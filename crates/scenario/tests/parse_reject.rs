@@ -393,6 +393,19 @@ fn rejects_non_integer_intra_jobs() {
     assert!(m.contains("unknown key 'intra_jobs' in [engine]"), "{m}");
 }
 
+// The edge-switch count is derived (`nodes / nodes_per_edge`), so
+// `edge_switches` is not a key: a file that sets it fails at that line
+// rather than having the value silently ignored.
+#[test]
+fn rejects_edge_switches() {
+    let (l, m) = err(&with_header("[topology]\nedge_switches = 8\n"));
+    assert_eq!(l, 3);
+    assert!(
+        m.contains("unknown key 'edge_switches' in [topology]"),
+        "{m}"
+    );
+}
+
 #[test]
 fn compile_rejects_intra_jobs_above_nodes() {
     // The parser already refuses the key, so no such scenario can reach

@@ -116,7 +116,6 @@ description = edge/aggregation fabric knobs
 topology = hierarchical
 nodes = 64
 nodes_per_edge = 8
-edge_switches = 8
 agg_switches = [1, 2, 4]
 uplinks = 2
 agg_trunk_bw = 12000000

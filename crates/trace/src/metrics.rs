@@ -1,11 +1,11 @@
 //! A tiny thread-local metrics registry.
 //!
-//! Instrumented layers publish named gauges and counters here; the
-//! bench binaries (`figures --metrics`, `selfbench --metrics`) dump a
-//! sorted snapshot per scenario. Like the trace path, every publisher
-//! goes through macros gated on [`crate::ENABLED`] plus the runtime
-//! [`enabled`] switch, so plain release builds pay nothing and even
-//! debug runs skip the registry unless a harness opts in.
+//! Instrumented layers publish named gauges and counters here;
+//! `figures --metrics` dumps a sorted snapshot per scenario. Like the
+//! trace path, every publisher goes through macros gated on
+//! [`crate::ENABLED`] plus the runtime [`enabled`] switch, so plain
+//! release builds pay nothing and even debug runs skip the registry
+//! unless a harness opts in.
 //!
 //! Names are static strings in `layer.noun` form (`net.ecn_marks`,
 //! `db.lock_waits`, `sim.events`). A `BTreeMap` keeps snapshots in

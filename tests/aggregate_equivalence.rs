@@ -213,3 +213,83 @@ fn aggregate_preserves_population_at_every_edge() {
         max_slots
     );
 }
+
+/// Cost of one n = 16, affinity 0.8 run at seed 42 with
+/// `clients_per_node` terminals under `model`, and its pool bound.
+struct Population {
+    events: u64,
+    committed: u64,
+    driver_slots: usize,
+    /// `nodes × client_conns_per_node`: the most sessions the pooled
+    /// driver can hold at once.
+    slot_cap: usize,
+}
+
+fn run_population(clients_per_node: u32, model: ClientModel) -> Population {
+    let mut cfg = quick(ClusterConfig::default());
+    cfg.nodes = 16;
+    cfg.affinity = 0.8;
+    cfg.clients_per_node = clients_per_node;
+    cfg.client_model = model;
+    let slot_cap = (cfg.nodes * cfg.client_conns_per_node) as usize;
+    let mut w = World::new(cfg);
+    let committed = w.run().committed;
+    Population {
+        events: w.events_processed(),
+        committed,
+        driver_slots: w.driver_slots(),
+        slot_cap,
+    }
+}
+
+impl Population {
+    fn events_per_committed(&self) -> f64 {
+        self.events as f64 / self.committed.max(1) as f64
+    }
+
+    fn assert_pool_bounded(&self, what: &str) {
+        assert!(
+            self.driver_slots <= self.slot_cap,
+            "{what}: aggregate driver holds {} slots, over the pool bound {}: its state is \
+             no longer O(active transactions)",
+            self.driver_slots,
+            self.slot_cap
+        );
+    }
+}
+
+#[test]
+fn aggregate_cuts_events_per_committed_tenfold_at_10k_terminals() {
+    // At 10k terminals per node the exact driver's per-terminal timers,
+    // handshakes and thrash-collapsed server cost ~12.4k events per
+    // committed transaction; the aggregate driver spends ~1.1k (11.4x
+    // when this bound was set). Deterministic per config and seed.
+    let exact = run_population(10_000, ClientModel::Exact);
+    let agg = run_population(10_000, ClientModel::Aggregate);
+    let ratio = exact.events_per_committed() / agg.events_per_committed();
+    eprintln!(
+        "[n16 10k/node] events/committed exact={:.1} aggregate={:.1} ratio={ratio:.2}",
+        exact.events_per_committed(),
+        agg.events_per_committed()
+    );
+    assert!(
+        ratio >= 10.0,
+        "aggregate clients cut events per committed only {ratio:.2}x vs exact at 10k \
+         terminals/node (exact {:.1}, aggregate {:.1}); the bound is 10x",
+        exact.events_per_committed(),
+        agg.events_per_committed()
+    );
+    agg.assert_pool_bounded("10k terminals/node");
+}
+
+#[test]
+fn aggregate_driver_slots_bounded_by_pool_at_a_million_terminals() {
+    // 16M terminals: driver state must stay O(active transactions),
+    // bounded by the connection pool, not by the population.
+    let agg = run_population(1_000_000, ClientModel::Aggregate);
+    assert!(
+        agg.committed > 0,
+        "a million terminals per node committed nothing"
+    );
+    agg.assert_pool_bounded("1M terminals/node");
+}
