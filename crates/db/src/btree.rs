@@ -11,6 +11,14 @@
 //! not rebalance siblings: TPC-C's only deleter (the new-order table)
 //! removes the oldest keys in order, for which empty-node cleanup keeps
 //! the tree tidy. This trade is documented here deliberately.
+//!
+//! [`BTree::push_max`] is the bulk-load path: it appends a key larger
+//! than every key in the tree by walking the rightmost spine, with no
+//! search and no trace. Its precondition is exactly the case where
+//! `insert` would descend that spine and append at the end of the last
+//! leaf, and both paths split nodes through the same two helpers, so a
+//! tree appended key by key is identical to one built by `insert` from
+//! the same ascending keys: same node ids, fill and separators.
 
 /// Maximum keys per node. 64 keys x (8 B key + 8 B value/child) plus
 /// headers approximates an 8 KB index page at ~50% occupancy, matching
@@ -152,14 +160,69 @@ impl BTree {
         match self.insert_rec(root, key, val, trace) {
             InsertResult::Done(old) => old,
             InsertResult::Split(sep, right) => {
-                // Grow a new root.
-                let new_root = self.alloc(Node::Internal {
-                    keys: vec![sep],
-                    children: vec![root, right],
-                });
-                self.root = new_root;
+                self.grow_root(sep, right);
                 None
             }
+        }
+    }
+
+    /// Append `key -> val`, where `key` is larger than every key in the
+    /// tree: the ascending bulk load of an index. It walks
+    /// `children.last()` from the root, pushes onto the rightmost leaf
+    /// and splits upward with `insert`'s rule, so the result is the tree
+    /// `insert` builds, node ids included. Nothing is traced.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is not greater than the rightmost leaf's last key, or is
+    /// below the last separator of a node on the rightmost spine (after
+    /// `remove` has emptied the rightmost leaf): `insert` would not
+    /// append there.
+    pub fn push_max(&mut self, key: u64, val: u64) {
+        let mut n = self.root;
+        loop {
+            match &mut self.nodes[n as usize] {
+                Node::Internal { keys, children } => {
+                    if let Some(&sep) = keys.last() {
+                        assert!(key >= sep, "push_max({key}) below separator {sep}");
+                    }
+                    n = *children.last().expect("internal node has children");
+                }
+                Node::Leaf { keys, vals } => {
+                    if let Some(&last) = keys.last() {
+                        assert!(key > last, "push_max({key}) after key {last}");
+                    }
+                    keys.push(key);
+                    vals.push(val);
+                    self.len += 1;
+                    if keys.len() <= ORDER {
+                        return;
+                    }
+                    break;
+                }
+                Node::Free => unreachable!("walked into a freed node"),
+            }
+        }
+        // The leaf overflowed, about once per ORDER / 2 appends: walk the
+        // spine again for the parents, then split bottom-up.
+        let mut spine = Vec::new();
+        let mut m = self.root;
+        while let Node::Internal { children, .. } = &self.nodes[m as usize] {
+            spine.push(m);
+            m = *children.last().expect("internal node has children");
+        }
+        let mut split = self.split_leaf(n);
+        while let Some((sep, right)) = split {
+            let Some(parent) = spine.pop() else {
+                self.grow_root(sep, right);
+                return;
+            };
+            let Node::Internal { keys, children } = &mut self.nodes[parent as usize] else {
+                unreachable!()
+            };
+            keys.push(sep);
+            children.push(right);
+            split = self.split_internal(parent);
         }
     }
 
@@ -218,19 +281,7 @@ impl BTree {
                     keys.insert(i, key);
                     vals.insert(i, val);
                     self.len += 1;
-                    if keys.len() > ORDER {
-                        let mid = keys.len() / 2;
-                        let rkeys = keys.split_off(mid);
-                        let rvals = vals.split_off(mid);
-                        let sep = rkeys[0];
-                        let right = self.alloc(Node::Leaf {
-                            keys: rkeys,
-                            vals: rvals,
-                        });
-                        InsertResult::Split(sep, right)
-                    } else {
-                        InsertResult::Done(None)
-                    }
+                    self.split_leaf(n).into()
                 }
             },
             Node::Internal { keys, children } => {
@@ -244,26 +295,69 @@ impl BTree {
                         };
                         keys.insert(i, sep);
                         children.insert(i + 1, right);
-                        if keys.len() > ORDER {
-                            let mid = keys.len() / 2;
-                            // keys[mid] moves up as the separator.
-                            let up = keys[mid];
-                            let rkeys = keys.split_off(mid + 1);
-                            keys.pop();
-                            let rchildren = children.split_off(mid + 1);
-                            let right = self.alloc(Node::Internal {
-                                keys: rkeys,
-                                children: rchildren,
-                            });
-                            InsertResult::Split(up, right)
-                        } else {
-                            InsertResult::Done(None)
-                        }
+                        self.split_internal(n).into()
                     }
                 }
             }
             Node::Free => unreachable!(),
         }
+    }
+
+    /// Split leaf `n` if it holds more than `ORDER` keys: the upper half
+    /// moves to a new right sibling, whose first key is the separator.
+    /// The lower half is copied to exact-size buffers and the sibling
+    /// takes the full ones: ascending appends fill the sibling next and
+    /// never touch the lower half again, so a bulk-loaded leaf carries
+    /// no spare capacity and the load reuses one pair of buffers.
+    fn split_leaf(&mut self, n: u32) -> Option<(u64, u32)> {
+        let Node::Leaf { keys, vals } = &mut self.nodes[n as usize] else {
+            unreachable!()
+        };
+        if keys.len() <= ORDER {
+            return None;
+        }
+        let mid = keys.len() / 2;
+        let mut rkeys = std::mem::replace(keys, keys[..mid].to_vec());
+        let mut rvals = std::mem::replace(vals, vals[..mid].to_vec());
+        rkeys.drain(..mid);
+        rvals.drain(..mid);
+        let sep = rkeys[0];
+        let right = self.alloc(Node::Leaf {
+            keys: rkeys,
+            vals: rvals,
+        });
+        Some((sep, right))
+    }
+
+    /// Split internal node `n` if it holds more than `ORDER` keys: the
+    /// middle key moves up as the separator, the keys and children above
+    /// it to a new right sibling.
+    fn split_internal(&mut self, n: u32) -> Option<(u64, u32)> {
+        let Node::Internal { keys, children } = &mut self.nodes[n as usize] else {
+            unreachable!()
+        };
+        if keys.len() <= ORDER {
+            return None;
+        }
+        let mid = keys.len() / 2;
+        let up = keys[mid];
+        let rkeys = keys.split_off(mid + 1);
+        keys.pop();
+        let rchildren = children.split_off(mid + 1);
+        let right = self.alloc(Node::Internal {
+            keys: rkeys,
+            children: rchildren,
+        });
+        Some((up, right))
+    }
+
+    /// The old root split into itself and `right`: put a new root above.
+    fn grow_root(&mut self, sep: u64, right: u32) {
+        let old = self.root;
+        self.root = self.alloc(Node::Internal {
+            keys: vec![sep],
+            children: vec![old, right],
+        });
     }
 
     /// Returns `(removed value, node-is-now-empty)`.
@@ -395,6 +489,16 @@ impl BTree {
 enum InsertResult {
     Done(Option<u64>),
     Split(u64, u32),
+}
+
+impl From<Option<(u64, u32)>> for InsertResult {
+    /// A fresh key went in: the node either split or did not.
+    fn from(split: Option<(u64, u32)>) -> Self {
+        match split {
+            Some((sep, right)) => InsertResult::Split(sep, right),
+            None => InsertResult::Done(None),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -628,6 +732,69 @@ mod tests {
         assert_eq!(b.len(), 100);
         assert_eq!(b.get(50, &mut t()), Some(49));
         assert!(b.node_count() < 10, "no growth from replacement");
+    }
+
+    fn appended(keys: impl Iterator<Item = u64>) -> BTree {
+        let mut b = BTree::new();
+        for k in keys {
+            b.push_max(k, k * 3);
+        }
+        b
+    }
+
+    #[test]
+    fn push_max_builds_the_insert_tree_for_every_prefix() {
+        // Grow one pair of trees key by key and compare at every count.
+        let (mut a, mut b) = (BTree::new(), BTree::new());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        for k in 0..5_000u64 {
+            a.push_max(2 * k + 1, k);
+            b.insert(2 * k + 1, k, &mut t());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "after {} keys", k + 1);
+        }
+    }
+
+    #[test]
+    fn push_max_builds_the_insert_tree_when_inner_nodes_split() {
+        // 100k keys need four levels, so an internal node above the
+        // first internal level splits too.
+        let a = appended(0..100_000);
+        assert!(a.depth() >= 4, "depth={}", a.depth());
+        let mut b = BTree::new();
+        for k in 0..100_000 {
+            b.insert(k, k * 3, &mut t());
+        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(a.get(77_777, &mut t()), Some(233_331));
+    }
+
+    #[test]
+    #[should_panic(expected = "push_max(7) after key 7")]
+    fn push_max_rejects_an_equal_key() {
+        appended([5, 7, 7].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "push_max(6) after key 7")]
+    fn push_max_rejects_a_smaller_key() {
+        appended([5, 7, 6].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "below separator")]
+    fn push_max_rejects_a_key_below_a_separator() {
+        // Four levels; emptying the upper keys leaves the rightmost spine
+        // ending in an empty leaf under a stale separator, so a key past
+        // the largest remaining one belongs left of the spine.
+        let mut b = appended((0..100_000).map(|k| 2 * k));
+        let Node::Internal { keys, .. } = &b.nodes[b.root as usize] else {
+            unreachable!()
+        };
+        let sep = *keys.last().unwrap();
+        for k in (sep..2 * 100_000).step_by(2) {
+            b.remove(k, &mut t());
+        }
+        b.push_max(sep - 1, 0);
     }
 
     #[test]

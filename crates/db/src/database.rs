@@ -238,43 +238,30 @@ impl Database {
         db
     }
 
+    /// Every loop below runs in `w`, `d`, then row order, and the schema
+    /// encodes keys w-major, so each index receives strictly ascending
+    /// keys and is bulk-loaded with `push_max` (same tree as `insert`).
     fn build_indices_and_orders(&mut self) {
         let scale = self.scale.clone();
-        let mut tr = Vec::new();
         // Fixed tables: dense rowids, keys from the schema encoders.
         for w in 1..=scale.warehouses {
-            self.idx[Table::Warehouse.id() as usize].insert(
-                schema::wh_key(w),
-                (w - 1) as u64,
-                &mut tr,
-            );
+            self.idx[Table::Warehouse.id() as usize].push_max(schema::wh_key(w), (w - 1) as u64);
             for d in 1..=scale.districts_per_wh {
                 let drow = ((w - 1) * scale.districts_per_wh + (d - 1)) as u64;
-                self.idx[Table::District.id() as usize].insert(
-                    schema::district_key(w, d),
-                    drow,
-                    &mut tr,
-                );
+                self.idx[Table::District.id() as usize].push_max(schema::district_key(w, d), drow);
                 for c in 1..=scale.customers_per_district {
                     let crow = drow * scale.customers_per_district as u64 + (c - 1) as u64;
-                    self.idx[Table::Customer.id() as usize].insert(
-                        schema::customer_key(w, d, c),
-                        crow,
-                        &mut tr,
-                    );
+                    self.idx[Table::Customer.id() as usize]
+                        .push_max(schema::customer_key(w, d, c), crow);
                 }
             }
             for i in 1..=scale.items {
                 let srow = ((w - 1) * scale.items + (i - 1)) as u64;
-                self.idx[Table::Stock.id() as usize].insert(schema::stock_key(w, i), srow, &mut tr);
+                self.idx[Table::Stock.id() as usize].push_max(schema::stock_key(w, i), srow);
             }
         }
         for i in 1..=scale.items {
-            self.idx[Table::Item.id() as usize].insert(
-                schema::item_key(i),
-                (i - 1) as u64,
-                &mut tr,
-            );
+            self.idx[Table::Item.id() as usize].push_max(schema::item_key(i), (i - 1) as u64);
         }
 
         // Initial orders: the most recent 30% are open (new-order rows).
@@ -301,18 +288,12 @@ impl Database {
                             carrier_id: if o < open_from { 1 } else { 0 },
                         },
                     );
-                    self.idx[Table::Order.id() as usize].insert(
-                        schema::order_key(w, d, o),
-                        rowid,
-                        &mut tr,
-                    );
+                    self.idx[Table::Order.id() as usize]
+                        .push_max(schema::order_key(w, d, o), rowid);
                     if o >= open_from {
                         let no = self.new_orders.insert(w, ());
-                        self.idx[Table::NewOrder.id() as usize].insert(
-                            schema::order_key(w, d, o),
-                            no,
-                            &mut tr,
-                        );
+                        self.idx[Table::NewOrder.id() as usize]
+                            .push_max(schema::order_key(w, d, o), no);
                     }
                     for ol in 0..ol_cnt as u32 {
                         let i_id = (rand() % scale.items as u64) as u32 + 1;
@@ -325,11 +306,8 @@ impl Database {
                                 delivered: o < open_from,
                             },
                         );
-                        self.idx[Table::OrderLine.id() as usize].insert(
-                            schema::order_line_key(w, d, o, ol),
-                            olrow,
-                            &mut tr,
-                        );
+                        self.idx[Table::OrderLine.id() as usize]
+                            .push_max(schema::order_line_key(w, d, o, ol), olrow);
                     }
                 }
             }
@@ -501,6 +479,45 @@ mod tests {
         let a = db.next_ts();
         let b = db.next_ts();
         assert!(b > a);
+    }
+
+    /// The simulator uses index node ids as buffer-cache and fusion page
+    /// ids, so the bulk load must not move a single node. Measured with
+    /// the `insert`-built loader at `scaled(40)`, one node's share.
+    #[test]
+    fn index_page_layout_is_pinned_at_40_warehouses() {
+        let db = Database::build(TpccScale::scaled(40));
+        let expect = [
+            (Table::Warehouse, 1, 1),
+            (Table::District, 13, 2),
+            (Table::Customer, 3866, 4),
+            (Table::Stock, 1287, 3),
+            (Table::Item, 32, 2),
+            (Table::NewOrder, 386, 3),
+            (Table::Order, 1287, 3),
+            (Table::OrderLine, 12909, 4),
+        ];
+        for (table, nodes, depth) in expect {
+            let idx = db.index(table);
+            assert_eq!((idx.node_count(), idx.depth()), (nodes, depth), "{table:?}");
+        }
+        assert_eq!(db.total_pages(), 34120);
+    }
+
+    #[test]
+    fn bulk_loaded_indices_equal_insert_built_ones() {
+        let db = Database::build(TpccScale::scaled(2));
+        for &table in &Table::ALL[..8] {
+            let idx = db.index(table);
+            let mut rows = Vec::new();
+            idx.range(0, u64::MAX, usize::MAX, &mut rows, &mut Vec::new());
+            assert_eq!(rows.len(), idx.len(), "{table:?}");
+            let mut rebuilt = BTree::new();
+            for (k, v) in rows {
+                rebuilt.insert(k, v, &mut Vec::new());
+            }
+            assert_eq!(format!("{idx:?}"), format!("{rebuilt:?}"), "{table:?}");
+        }
     }
 
     #[test]
